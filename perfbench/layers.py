@@ -66,6 +66,8 @@ PACKAGE_LAYER = {
 }
 LAYERS = tuple(PACKAGE_LAYER.values())
 OTHER = "other"
+#: The instruments' own code, in the sampled view (:meth:`Sampler.by_layer`).
+SPANS = "spans"
 #: Kernel-loop time inside ``Simulator.run`` outside every span; kept
 #: apart while steps are re-billed, reported as part of ``sim``.
 KERNEL = "sim.run"
@@ -73,7 +75,8 @@ KERNEL = "sim.run"
 SKIP_MODULES = ("repro.sim.profile",)
 #: Classes whose instances the pass keeps, to read their counters.
 COUNTED = ("Accelerator", "AimdWindow", "CxlLink", "DeviceServer", "Nic",
-           "PciePool", "PoolingAgent", "RetryBudget", "RpcEndpoint", "Ssd")
+           "PciePool", "PoolingAgent", "RetryBudget", "RpcEndpoint",
+           "Simulator", "Ssd")
 #: Client operations counted as ``datapath.ops``.
 DATAPATH_OPS = ("RemoteSsdClient.write", "RemoteSsdClient.read",
                 "RemoteSsdClient.write_burst", "RemoteSsdClient.flush",
@@ -81,6 +84,15 @@ DATAPATH_OPS = ("RemoteSsdClient.write", "RemoteSsdClient.read",
                 "RemoteAcceleratorClient.run_jobs", "UdpSocket.sendto")
 
 _REPRO_DIR = os.path.dirname(os.path.abspath(repro.__file__))
+
+
+@functools.lru_cache(maxsize=None)
+def _file_layer(filename):
+    """The layer whose package holds source file ``filename``."""
+    rel = os.path.relpath(filename, _REPRO_DIR)
+    if rel.startswith(".."):
+        return OTHER
+    return PACKAGE_LAYER.get(rel.split(os.sep)[0], OTHER)
 
 
 class Meter:
@@ -96,14 +108,12 @@ class Meter:
         self.ncalls = {}        # entry point -> calls from any layer
         self.instances = {name: [] for name in COUNTED}
         self.proc_layer = {}    # process name up to ':' -> layer
-        self.scheduled = 0
         self.in_api = False     # inside a counted kernel API call
         # Kernel-level segments, events and calls since the last kernel
         # hook: the part inside a finished step moves to its process.
         self.kernel_segs = []
         self.kernel_events = []
         self.kernel_calls = []
-        self._file_layer = {}
         self.t = perf_counter_ns()
 
     def start(self):
@@ -219,13 +229,7 @@ class Meter:
             return OTHER
         if code is _SPAN_CODE:
             return generator.gi_frame.f_locals["layer"]
-        layer = self._file_layer.get(code.co_filename)
-        if layer is None:
-            rel = os.path.relpath(code.co_filename, _REPRO_DIR)
-            layer = (OTHER if rel.startswith("..")
-                     else PACKAGE_LAYER.get(rel.split(os.sep)[0], OTHER))
-            self._file_layer[code.co_filename] = layer
-        return layer
+        return _file_layer(code.co_filename)
 
     def by_layer(self):
         """(self_ns, events) per reported layer, kernel loop in ``sim``."""
@@ -388,7 +392,6 @@ def _billed_schedule(meter, fn):
 
     @functools.wraps(fn)
     def schedule(sim, event, delay=0.0):
-        meter.scheduled += 1
         owner = stack[-1]
         events[owner] += 1
         now = perf_counter_ns()
@@ -502,6 +505,17 @@ class Sampler:
         total = sum(merged.values()) or 1
         rows = sorted(merged.items(), key=lambda kv: (-kv[1], kv[0]))
         return [(label, count / total) for label, count in rows[:n]]
+
+    def by_layer(self):
+        """{layer: share of samples} by the file of the sampled code; the
+        instruments' own code counts as :data:`SPANS`."""
+        shares = {}
+        for code, count in self.counts.items():
+            layer = (SPANS if code.co_filename == __file__
+                     else _file_layer(code.co_filename))
+            shares[layer] = shares.get(layer, 0) + count
+        total = sum(shares.values()) or 1
+        return {layer: count / total for layer, count in shares.items()}
 
 
 def _label(code):

@@ -4,11 +4,12 @@
 Run from the repository root::
 
     python3 perfbench/run.py                   # every workload, seed 17
-    python3 perfbench/run.py --workload io_mix --seed 29 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload io_mix --seed 29 --trace 0
 
 ``--trace 0`` repeats one workload with tracing off for about
-``--seconds`` host seconds (at least once) and reports the end-to-end
-metrics, host times scaled to a reference host speed (``hostspeed.py``).
+``--seconds`` host seconds (default: ``run_seconds`` of BENCHMARK.json;
+at least one round) and reports the end-to-end metrics, host times
+scaled to a reference host speed (``hostspeed.py``).
 ``--trace 1`` makes one untraced run and two traced passes on
 the same seed, layer spans first and then the program's own tracer, and
 reports the per-layer metrics.  ``--workload all`` (the default) runs
@@ -39,10 +40,11 @@ WORKLOADS = ("overload", "gray", "io_mix")
 DEFAULT_SEED = 17
 #: Not used while the benchmark was tuned: a claimed gain must hold here.
 HELD_OUT_SEED = 29
-#: Setup-only runs before each measured run; ``setup_s`` is the median of
-#: these and of the measured runs' own setups.  Spreading them over the
-#: whole invocation keeps one burst of host noise from moving them all.
-SETUP_REPS = 2
+#: Each measured run is followed by a batch of setup-only runs lasting at
+#: least this long; ``setup_s`` is the median over batches of a batch's
+#: mean setup.  A batch holds several host-speed samples, and the batches
+#: are spread over the whole invocation.
+SETUP_BATCH_S = 0.5
 #: Largest share by which a traced pass may fail to reconcile.
 RECONCILE_TOLERANCE = 0.01
 
@@ -92,43 +94,58 @@ def _samples_note(name, samples):
     return f"{samples[kind]} samples" if kind in samples else ""
 
 
+def _setup_batch(measure, workload, seed, speed):
+    """Setup-only runs for at least SETUP_BATCH_S: (mean setup seconds as
+    measured, the same at the reference host speed, number of setups)."""
+    times = []
+    start = time.perf_counter()
+    while not times or time.perf_counter() - start < SETUP_BATCH_S:
+        gc.collect()
+        times.append(measure(workload, seed, setup_only=True))
+    mean = statistics.fmean(times)
+    return mean, mean * speed.scale(start, time.perf_counter()), len(times)
+
+
 def run_untraced(workload, seed, seconds):
-    from hostspeed import NOMINAL_S, HostSpeed
+    from hostspeed import HostSpeed
     from workloads import measure
 
-    setups, outcomes = [], []
+    outcomes, walls, raw_walls, setups, raw_setups = [], [], [], [], []
+    n_setups = 0
     with HostSpeed() as speed:
         start = last = time.perf_counter()
         while True:
-            for _ in range(SETUP_REPS):
-                gc.collect()
-                setups.append(measure(workload, seed, setup_only=True))
             gc.collect()
+            t0 = time.perf_counter()
             outcome = measure(workload, seed)
             outcomes.append(outcome)
-            setups.append(outcome.setup_s)
+            raw_walls.append(outcome.wall_s)
+            walls.append(outcome.wall_s
+                         * speed.scale(t0, time.perf_counter()))
+            raw, scaled, n = _setup_batch(measure, workload, seed, speed)
+            raw_setups.append(raw)
+            setups.append(scaled)
+            n_setups += n
             now = time.perf_counter()
             if now - start + (now - last) > seconds:   # next round won't fit
                 break
             last = now
     print(f"== {workload}  seed {seed}  untraced: {len(outcomes)} measured "
-          f"runs, {len(setups)} setups")
+          f"runs, {n_setups} setups in {len(setups)} batches")
     failed = _gate(outcomes)
     ref = outcomes[0]
-    walls = [o.wall_s for o in outcomes]
-    scale = speed.scale()
     values = {
-        "setup_s": statistics.median(setups) * scale,
-        "wall_s": statistics.median(walls) * scale,
+        "setup_s": statistics.median(setups),
+        "wall_s": statistics.median(walls),
         "peak_rss_mb": resource.getrusage(
             resource.RUSAGE_SELF).ru_maxrss / 1024,
         **ref.sim,
     }
     notes = {
-        "setup_s": f"median of {len(setups)} setups, "
-                   f"{statistics.median(setups):.6f} s as measured",
+        "setup_s": f"median of {len(setups)} batch means, "
+                   f"{statistics.median(raw_setups):.6f} s as measured",
         "wall_s": f"median of {len(walls)} measured runs, "
-                  f"{statistics.median(walls):.6f} s as measured",
+                  f"{statistics.median(raw_walls):.6f} s as measured",
         "peak_rss_mb": "peak resident set of this process",
         "goodput_kops": "completed ops per simulated second of load",
         "ok_ratio": f"completed ok of {ref.samples['offered']} offered",
@@ -142,12 +159,13 @@ def run_untraced(workload, seed, seconds):
         else:
             _row(name, value, WORKLOAD_RESULTS[name],
                  f"{note}  (reported per layer)")
-    print("   wall_s of each run, as measured: "
-          + " ".join(f"{w:.3f}" for w in walls))
-    print(f"   host speed: reference loop "
-          f"{statistics.mean(speed.samples) * 1e3:.3f} ms (nominal "
-          f"{NOMINAL_S * 1e3:.3f} ms) over {len(speed.samples)} timings; "
-          f"setup_s and wall_s are as measured x {scale:.4f}")
+    print("   wall_s of each run, as measured -> at the reference speed: "
+          + "  ".join(f"{r:.3f}->{w:.3f}" for r, w in zip(raw_walls, walls)))
+    print("   setup_s of each batch, as measured -> at the reference speed: "
+          + "  ".join(f"{r:.4f}->{s:.4f}"
+                      for r, s in zip(raw_setups, setups)))
+    print(f"   host speed: {len(speed.samples)} samples of the reference "
+          f"workload")
     print("DETAIL " + json.dumps({"fingerprint": ref.fingerprint()}))
     correct = not failed and all(name in values for name in END_TO_END)
     metrics = ({name: {"value": values[name], "unit": unit}
@@ -188,13 +206,12 @@ def run_traced(workload, seed):
     failed = _gate([untraced, spanned, phased])
     self_ns, events = meter.by_layer()
     metered_s = sum(self_ns.values()) / 1e9
+    # Every simulator of the pass was built inside it, so its own count
+    # of queue entries (fire_early reschedules included) covers the pass.
+    queued = sum(sim._seq for sim in meter.instances["Simulator"])
     checks = (
-        ("self_s.* sums to the span pass's host time within 1%",
-         abs(metered_s - pass_s) <= RECONCILE_TOLERANCE * pass_s
-         and min(self_ns.values()) >= 0),
-        ("events.* sums to the events scheduled",
-         sum(events.values()) == meter.scheduled
-         and min(events.values()) >= 0),
+        (f"events.* sums to the {queued} entries the simulators queued",
+         sum(events.values()) == queued),
         ("phase.reconcile_err is at most 1%",
          breakdown.reconciliation_error() <= RECONCILE_TOLERANCE),
     )
@@ -203,9 +220,13 @@ def run_traced(workload, seed):
     if not all(ok for _what, ok in checks):
         failed = max(failed, 1)
 
+    # ``sampled``: the share of SIGPROF samples whose code lies in the
+    # layer's package, a view of host time independent of the spans.
+    sampled = sampler.by_layer()
     values = {}
-    print(f"   {'layer':<13} {'self_s':>9} {'share':>7} {'calls':>10} "
-          f"{'events':>10} {'resumptions':>12}")
+    print(f"   span pass: {pass_s:.3f} s host")
+    print(f"   {'layer':<13} {'self_s':>9} {'share':>7} {'sampled':>8} "
+          f"{'calls':>10} {'events':>10} {'resumptions':>12}")
     for layer in layers.LAYERS + (layers.OTHER,):
         values[f"self_s.{layer}"] = (self_ns[layer] / 1e9, "s")
         values[f"events.{layer}"] = (events[layer], "count")
@@ -213,8 +234,11 @@ def run_traced(workload, seed):
             values[f"calls.{layer}"] = (meter.calls[layer], "count")
         print(f"   {layer:<13} {self_ns[layer] / 1e9:>9.3f} "
               f"{self_ns[layer] / 1e9 / metered_s:>7.1%} "
+              f"{sampled.get(layer, 0.0):>8.1%} "
               f"{meter.calls.get(layer, 0):>10} {events[layer]:>10} "
               f"{meter.resumptions[layer]:>12}")
+    print(f"   {layers.SPANS:<13} {'':>9} {'':>7} "
+          f"{sampled.get(layers.SPANS, 0.0):>8.1%}   the spans' own code")
     values["events.total"] = (spanned.events_total, "count")
     values["trace_overhead_x"] = (
         (spanned.setup_s + spanned.wall_s)
@@ -297,8 +321,9 @@ def main(argv=None):
                         help=f"workload seed (default {DEFAULT_SEED}; "
                              f"{HELD_OUT_SEED} is held out for checking "
                              f"a claimed gain)")
-    parser.add_argument("--seconds", type=float, default=35.0,
-                        help="host seconds to repeat an untraced workload")
+    parser.add_argument("--seconds", type=float,
+                        help="host seconds to repeat an untraced workload "
+                             "(default: run_seconds of BENCHMARK.json)")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     if not os.path.isfile(os.path.join(SRC, "repro", "__init__.py")):
@@ -306,11 +331,15 @@ def main(argv=None):
               file=sys.stderr)
         return 2
     sys.path.insert(0, SRC)
+    seconds = args.seconds
+    if seconds is None:
+        with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+            seconds = json.load(f)["run_seconds"]
     if args.workload == "all":
-        return run_all(args.seed, args.seconds)
+        return run_all(args.seed, seconds)
     if args.trace:
         return run_traced(args.workload, args.seed)
-    return run_untraced(args.workload, args.seed, args.seconds)
+    return run_untraced(args.workload, args.seed, seconds)
 
 
 if __name__ == "__main__":

@@ -37,14 +37,17 @@ _NO_DRAWS = {"device_flaps": 0, "link_flaps": 0, "agent_crashes": 0,
 
 # The load=2x cell of runbooks/overload.json, time-compressed 4x: the slow
 # SSD writes in 200 us (not 800 us), arrivals come at 20 k/s (not 5 k/s)
-# for 0.1 s (not 0.6 s), and the storm and settle times are quartered.
-# The overload ratio (2x), the 2000 offered writes, the ~1090 completed
-# ones (so write p99 rests on >=1000 samples) and the storm overlapping the
-# load all stay; the host cost drops enough for four measured runs in 35
-# host seconds and keeps a traced run well under a minute.
-# Admitted writes now wait ~9.6 ms, under the 20 ms hedge deadline, so
-# this cell does not hedge.  The ok floor is 1000, not 1100.
+# for 0.1 s (not 0.6 s), and the storm, settle and hedge times are
+# quartered.  The overload ratio (2x), the 2000 offered writes, the ~1090
+# completed ones (so write p99 rests on >=1000 samples), the storm
+# overlapping the load and admitted writes outliving the hedge deadline
+# (~9.6 ms against 5 ms, as ~38 ms against 20 ms in the runbook cell) all
+# stay; the host cost drops enough for four measured runs in 35 host
+# seconds and keeps a traced run well under a minute.  The ok floor is
+# 1000, not 1100, and the cell must hedge.
 OVERLOAD_LOAD_NS = 100_000_000.0
+#: vSSD client options the runbook schema has no field for.
+OVERLOAD_CLIENT = {"hedge_deadline_ns": 5_000_000.0}
 OVERLOAD = {
     "name": "overload",
     "description": "open-loop vSSD writes at 2x a slow SSD's capacity with "
@@ -74,6 +77,7 @@ OVERLOAD = {
             "w0.vssd.ok": [">=", 1000],
             "w0.vssd.shed": [">=", 1],
             "w0.vssd.failovers": ["==", 0],
+            "w0.vssd.hedges": [">=", 1],
             "orch.hosts_quarantined": ["==", 0],
             "orch.quarantine_refusals": ["==", 0],
             "overload.admission_rejects": [">=", 5],
@@ -198,19 +202,24 @@ def _runbook(template, seed, onset_windows):
 
 
 @contextlib.contextmanager
-def _watch_cell(setup_only):
-    """Capture the cell's pool and stamp the end of its setup.
+def _watch_cell(setup_only, client_options):
+    """Capture the cell's pool, open its vSSD clients with
+    ``client_options`` and stamp the end of its setup.
 
     ``run_cell`` builds the pool and then calls ``Simulator.run`` for the
     first time when the measured phase starts (these cells have no
     netstack bring-up run), so that first call ends setup.
     """
     seen = {"pool": None, "setup_end": None}
-    pool_init, sim_run = PciePool.__init__, Simulator.run
+    pool_init, open_ssd = PciePool.__init__, PciePool.open_ssd
+    sim_run = Simulator.run
 
     def init(self, *args, **kwargs):
         pool_init(self, *args, **kwargs)
         seen["pool"] = self
+
+    def open_client(self, host_id, **kwargs):
+        return open_ssd(self, host_id, **{**client_options, **kwargs})
 
     def run(self, *args, **kwargs):
         if seen["setup_end"] is None:
@@ -219,17 +228,19 @@ def _watch_cell(setup_only):
                 raise SetupDone
         return sim_run(self, *args, **kwargs)
 
-    PciePool.__init__, Simulator.run = init, run
+    PciePool.__init__, PciePool.open_ssd = init, open_client
+    Simulator.run = run
     try:
         yield seen
     finally:
-        PciePool.__init__, Simulator.run = pool_init, sim_run
+        PciePool.__init__, PciePool.open_ssd = pool_init, open_ssd
+        Simulator.run = sim_run
 
 
-def _run_runbook(name, doc, seed, setup_only):
+def _run_runbook(name, doc, seed, setup_only, client_options):
     cell = runbook_from_dict(doc).expand(seeds=[seed])[0]
     t0 = time.perf_counter()
-    with _watch_cell(setup_only) as seen:
+    with _watch_cell(setup_only, client_options) as seen:
         try:
             result = runner.run_cell(cell, label=name)
         except SetupDone:
@@ -420,6 +431,6 @@ def measure(workload, seed, setup_only=False):
         return _run_io_mix(seed, setup_only)
     if workload == "overload":
         doc = _runbook(OVERLOAD, seed, (OVERLOAD_STORM_AT_NS,))
-    else:
-        doc = _runbook(GRAY, seed, GRAY_ONSET_NS)
-    return _run_runbook(workload, doc, seed, setup_only)
+        return _run_runbook(workload, doc, seed, setup_only, OVERLOAD_CLIENT)
+    doc = _runbook(GRAY, seed, GRAY_ONSET_NS)
+    return _run_runbook(workload, doc, seed, setup_only, {})
