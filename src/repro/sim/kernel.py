@@ -6,40 +6,18 @@ scheduled for the same instant are processed in scheduling order, so a
 program that performs the same calls in the same order always produces the
 same trace.
 
-Queue architecture (DESIGN.md §15)
-----------------------------------
-
-The kernel keeps three structures instead of one big heap:
-
-* ``_ready`` — a small heap of entries at or before the wheel cursor
-  (the bucket currently being drained, plus zero-delay schedules);
-* ``_wheel`` — a hashed timer wheel of :data:`_WHEEL_SLOTS` unsorted
-  buckets, each :data:`2**_WHEEL_SHIFT` ns wide, holding the dominant
-  short-delay timeouts.  Scheduling into the wheel is a single list
-  append (no heap sift); a bucket is sorted once, in C, when the cursor
-  reaches it;
-* ``_overflow`` — a heap for far-future events beyond the wheel horizon
-  (lease renewals, watchdogs, adaptive-poll ceilings).  Entries migrate
-  into the wheel as the cursor advances.
-
-Because bucket index is monotone in time and entries within a bucket are
-(re)ordered by ``(time, seq)``, the pop order is **bit-identical** to the
-single-heap kernel's.  ``Simulator(legacy_heap=True)`` (or the
-``REPRO_SIM_LEGACY_HEAP`` env var) keeps the old single-heap path alive so
-the determinism ladder in ``tests/sim/test_kernel_ladder.py`` can prove
-that equivalence on whole scenario runs.
-
-Cancellation is *lazy*: :meth:`Simulator.fire_early` tombstones the old
-queue entry (an O(1) set insert) and pushes a fresh one instead of
-re-sorting any structure; stale entries are skipped when popped.  This is
-what lets a sender-side notify hook wake a parked poller without the
-kernel ever paying for the abandoned watchdog entry.
+The queue is one ``heapq`` of ``(time, seq, event)`` entries, and
+:meth:`Simulator.schedule` is its only insertion point.  Cancellation is
+*lazy*: :meth:`Simulator.fire_early` tombstones the old entry's sequence
+number (an O(1) set insert) and schedules a fresh one instead of
+re-sorting the heap; stale entries are skipped when they reach the head.
+This is what lets a sender-side notify hook wake a parked poller without
+the kernel ever paying for the abandoned watchdog entry.
 """
 
 from __future__ import annotations
 
-import os
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Any, Generator, Optional, Union
 
 from repro.sim import profile as _profile
@@ -51,14 +29,6 @@ from repro.sim.rand import RandomStreams
 #: Type accepted by :meth:`Simulator.run`'s ``until`` parameter.
 Until = Union[None, int, float, Event]
 
-#: log2 of the wheel bucket width in ns (128 ns buckets: poll cadences,
-#: cache hits, and CXL line loads all land within a few buckets).
-_WHEEL_SHIFT = 7
-#: Number of level-0 buckets; span = slots << shift = 32.8 µs, which
-#: covers RPC RTTs and think times.  Anything farther goes to overflow.
-_WHEEL_SLOTS = 256
-_WHEEL_MASK = _WHEEL_SLOTS - 1
-
 _INF = float("inf")
 
 
@@ -68,30 +38,14 @@ class Simulator:
     Args:
         seed: master seed for :class:`~repro.sim.rand.RandomStreams`.
               All stochastic models derive their randomness from this.
-        legacy_heap: force the pre-wheel single-heap scheduler.  Event
-              ordering is identical either way; the toggle exists so the
-              determinism ladder can compare whole runs.  Defaults to the
-              ``REPRO_SIM_LEGACY_HEAP`` environment variable.
     """
 
-    def __init__(self, seed: int = 0, legacy_heap: Optional[bool] = None):
-        if legacy_heap is None:
-            legacy_heap = bool(os.environ.get("REPRO_SIM_LEGACY_HEAP"))
-        self._legacy = legacy_heap
+    def __init__(self, seed: int = 0):
         self._now: float = 0.0
         self._seq = 0
-        #: Live (non-tombstoned) scheduled entries across all structures.
-        self._live = 0
-        #: Entries at tick <= cursor (and, in legacy mode, *all* entries).
-        self._ready: list[tuple[float, int, Event]] = []
-        self._wheel: list[list[tuple[float, int, Event]]] = [
-            [] for _ in range(_WHEEL_SLOTS)
-        ]
-        self._wheel_count = 0
-        self._overflow: list[tuple[float, int, Event]] = []
-        #: Wheel cursor: the bucket tick currently drained into ``_ready``.
-        self._cursor = 0
-        #: Sequence numbers of tombstoned (rescheduled/canceled) entries.
+        self._queue: list[tuple[float, int, Event]] = []
+        #: Sequence numbers of tombstoned (rescheduled) entries still in
+        #: ``_queue``.
         self._stale: set[int] = set()
         self._active_process: Optional[Process] = None
         self._dead = False
@@ -160,19 +114,7 @@ class Simulator:
         self._seq = seq + 1
         event._sched_seq = seq
         event._sched_time = t
-        self._live += 1
-        if self._legacy:
-            heappush(self._ready, (t, seq, event))
-            return
-        tick = int(t) >> _WHEEL_SHIFT
-        cur = self._cursor
-        if tick <= cur:
-            heappush(self._ready, (t, seq, event))
-        elif tick <= cur + _WHEEL_SLOTS:
-            self._wheel[tick & _WHEEL_MASK].append((t, seq, event))
-            self._wheel_count += 1
-        else:
-            heappush(self._overflow, (t, seq, event))
+        heappush(self._queue, (t, seq, event))
 
     def fire_early(self, event: Event, delay: float = 0.0) -> bool:
         """Reschedule a queued event to ``now + delay`` if that is earlier.
@@ -189,78 +131,26 @@ class Simulator:
         if event._sched_time <= t_new:
             return False
         self._stale.add(event._sched_seq)
-        self._live -= 1
         self.schedule(event, delay)
         return True
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if queue is empty."""
-        return self._ready[0][0] if self._prepare_head() else _INF
+        return self._queue[0][0] if self._prepare_head() else _INF
 
     def _prepare_head(self) -> bool:
-        """Position the next live entry at ``_ready[0]``; False if none."""
+        """Pop tombstoned entries off the head; False if the queue is empty."""
+        queue = self._queue
         stale = self._stale
-        while True:
-            # Re-fetch each round: _advance_bucket swaps _ready wholesale.
-            ready = self._ready
-            while ready:
-                if stale and ready[0][1] in stale:
-                    stale.discard(heappop(ready)[1])
-                    continue
-                return True
-            if self._live == 0 or self._legacy:
-                return False
-            self._advance_bucket()
-
-    def _advance_bucket(self) -> None:
-        """Advance the cursor to the next occupied bucket, filling _ready.
-
-        Precondition: ``_ready`` is empty and at least one live entry
-        exists in the wheel or overflow heap.
-        """
-        wheel = self._wheel
-        overflow = self._overflow
-        cur = self._cursor
-        if not self._wheel_count:
-            # Wheel empty: jump straight to the earliest overflow tick.
-            if not overflow:
-                raise SimError("timer wheel lost a live entry")
-            cur = (int(overflow[0][0]) >> _WHEEL_SHIFT) - 1
-        while True:
-            cur += 1
-            # Migrate overflow entries whose tick enters the wheel window
-            # [cur, cur + 255]; tick cur + 256 would alias the slot about
-            # to be drained, so it stays in overflow one round longer.
-            bound = float((cur + _WHEEL_SLOTS) << _WHEEL_SHIFT)
-            while overflow and overflow[0][0] < bound:
-                entry = heappop(overflow)
-                wheel[(int(entry[0]) >> _WHEEL_SHIFT) & _WHEEL_MASK].append(
-                    entry
-                )
-                self._wheel_count += 1
-            slot = wheel[cur & _WHEEL_MASK]
-            if slot:
-                self._wheel_count -= len(slot)
-                self._cursor = cur
-                # Swap the empty ready list into the wheel and heapify the
-                # bucket in C; within-bucket order is (time, seq), so the
-                # global pop order matches the single-heap kernel exactly.
-                wheel[cur & _WHEEL_MASK] = self._ready
-                heapify(slot)
-                self._ready = slot
-                return
-            if not self._wheel_count:
-                # Everything left lives beyond the wheel horizon: jump.
-                if not overflow:
-                    raise SimError("timer wheel lost a live entry")
-                cur = (int(overflow[0][0]) >> _WHEEL_SHIFT) - 1
+        while queue and stale and queue[0][1] in stale:
+            stale.discard(heappop(queue)[1])
+        return bool(queue)
 
     def step(self) -> None:
         """Process exactly one event (advancing the clock to it)."""
         if not self._prepare_head():
             raise SimError("step() on an empty event queue")
-        when, _seq, event = heappop(self._ready)
-        self._live -= 1
+        when, _seq, event = heappop(self._queue)
         self._now = when
         self.events_processed += 1
         profiler = self._profiler
@@ -314,18 +204,15 @@ class Simulator:
         return None
 
     def _drain(self, horizon: float) -> None:
-        """Process all events with time <= horizon, batching same-bucket
-        deliveries through one tight loop."""
+        """Process all events with time <= horizon in one tight loop."""
+        queue = self._queue
         pop = heappop
         count = 0
         try:
             while self._prepare_head():
-                ready = self._ready
-                when = ready[0][0]
-                if when > horizon:
+                if queue[0][0] > horizon:
                     break
-                when, _seq, event = pop(ready)
-                self._live -= 1
+                when, _seq, event = pop(queue)
                 self._now = when
                 count += 1
                 profiler = self._profiler
@@ -375,14 +262,10 @@ class Simulator:
 
     def shutdown(self) -> None:
         """Discard all pending events and reject further scheduling."""
-        self._ready.clear()
-        self._overflow.clear()
-        for slot in self._wheel:
-            slot.clear()
-        self._wheel_count = 0
+        self._queue.clear()
         self._stale.clear()
-        self._live = 0
         self._dead = True
 
     def __repr__(self) -> str:
-        return f"<Simulator t={self._now}ns queued={self._live}>"
+        queued = len(self._queue) - len(self._stale)
+        return f"<Simulator t={self._now}ns queued={queued}>"

@@ -239,11 +239,6 @@ def validate_bench_doc(doc: dict) -> list[str]:
                 break
     # Optional keys (the headline bench writes them; a bare
     # ``python -m repro profile`` report does not): validated if present.
-    problems.extend(
-        f"{key} must be a positive number"
-        for key in ("baseline_events_per_sec", "speedup")
-        if key in doc and (not isinstance(doc[key], (int, float))
-                           or doc[key] <= 0))
     if "polls_elided" in doc and (not isinstance(doc["polls_elided"], int)
                                   or doc["polls_elided"] < 0):
         problems.append("polls_elided must be a non-negative int")

@@ -8,20 +8,20 @@ first-message latency stays at base-poll scale: the notify carries the
 sender's published count, so a dispatcher that was awake when the
 notify fired keeps base-rate polling across the NT-store landing
 window instead of parking and stranding the message until the
-watchdog.
+watchdog.  The watchdog itself only bounds a wakeup the notify missed.
 """
 
 from repro.channel.messages import Heartbeat
 from repro.channel.rpc import RpcEndpoint
-from repro.cxl.params import ADAPTIVE_POLL_MAX_NS, RECV_POLL_NS
+from repro.cxl.params import PARK_WATCHDOG_NS, RECV_POLL_NS
 from repro.cxl.pod import CxlPod, PodConfig
 from repro.sim import Simulator
 
 
-def make_pair(adaptive=None, seed=0):
+def make_pair(seed=0):
     sim = Simulator(seed)
     pod = CxlPod(sim, PodConfig(n_hosts=2, n_mhds=1, mhd_capacity=1 << 26))
-    a, b = RpcEndpoint.pair(pod, "h0", "h1", adaptive_poll_max_ns=adaptive)
+    a, b = RpcEndpoint.pair(pod, "h0", "h1")
     return sim, a, b
 
 
@@ -61,7 +61,7 @@ def test_idle_endpoint_schedules_no_empty_polls():
 
 
 def test_notify_wakes_parked_dispatcher_early():
-    sim, client, server = make_pair(adaptive=ADAPTIVE_POLL_MAX_NS)
+    sim, client, server = make_pair()
     got = []
     server.on(Heartbeat, lambda msg: got.append(sim.now))
 
@@ -100,24 +100,49 @@ def test_publish_during_poll_is_not_stranded():
     close(sim, client, server)
 
 
-def test_elision_disabled_falls_back_to_poll_grid():
+def test_missed_notify_is_caught_by_the_watchdog(monkeypatch):
+    """With the sender's notify silenced, a parked dispatcher still
+    delivers within one watchdog period of the send."""
     sim, client, server = make_pair()
-    server.notify_elision = False
+    monkeypatch.setattr(sim, "notify", lambda key, state=None: 0)
+    got = []
+    server.on(Heartbeat, lambda msg: got.append(sim.now))
+
+    def proc():
+        yield sim.timeout(10_250_000.0)      # send mid-park
+        t0 = sim.now
+        yield from client.send(Heartbeat(request_id=1,
+                                         timestamp_us=0, healthy=1))
+        yield sim.timeout(2 * PARK_WATCHDOG_NS)
+        return t0
+
+    p = sim.spawn(proc())
+    sim.run(until=p)
+    assert len(got) == 1
+    assert server.notify_wakeups == 0
+    # The store lands ~1 us after the send starts; one poll follows the
+    # watchdog.
+    assert got[0] - p.value < PARK_WATCHDOG_NS + 10_000.0
+    close(sim, client, server)
+
+
+def test_burst_is_batch_drained_in_order():
+    """A burst of fire-and-forget messages is delivered completely and
+    in order through the dispatcher's drain pass."""
+    sim, client, server = make_pair()
     got = []
     server.on(Heartbeat, lambda msg: got.append(msg.request_id))
 
     def proc():
-        yield sim.timeout(1_000_000.0)       # 1 ms idle
-        yield from client.send(Heartbeat(request_id=7,
-                                         timestamp_us=0, healthy=1))
-        yield sim.timeout(100_000.0)
+        yield sim.timeout(5_000_000.0)       # let the dispatcher park
+        for i in range(24):
+            yield from client.send(Heartbeat(request_id=i,
+                                             timestamp_us=0, healthy=1))
+        yield sim.timeout(2_000_000.0)
 
     p = sim.spawn(proc())
     sim.run(until=p)
-    assert got == [7]
-    assert server.parks == 0
-    # Busy-poll grid: ~30 ns cadence across 1 ms of idle.
-    assert server.empty_polls > 1_000
+    assert got == list(range(24))
     close(sim, client, server)
 
 

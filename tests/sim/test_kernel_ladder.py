@@ -1,62 +1,82 @@
-"""Kernel determinism ladder: timer wheel vs the legacy single heap.
+"""Kernel pop order against a plain sorted reference.
 
-The speed overhaul's correctness gate is *not* "same latencies" — it is
-bit-identical same-seed behavior.  The wheel must pop events in exactly
-the heap's ``(time, seq)`` order, so every downstream artifact (fault
-log signature, audit verdicts, summary counters) matches the pre-wheel
-kernel event for event.  ``Simulator(legacy_heap=True)`` keeps the old
-scheduler alive precisely so this ladder can prove it.
+The kernel keeps one ``(time, seq, event)`` heap with lazy
+``fire_early`` tombstones.  Its contract is the pop order: by time, ties
+broken by schedule order, and a rescheduled event ordered by its *new*
+``(time, seq)`` key.  Every downstream artifact (fault-log signature,
+audit verdicts, summary counters) rests on that order.
 
-Two rungs:
-
-* property tests drive both kernels through adversarial schedules —
-  same-instant ties, bucket-wrap boundaries (the wheel spans 256
-  slots x 128 ns = 32768 ns), far-future overflow entries, and
-  ``fire_early`` rescheduling — and require identical pop traces;
-* the three classic runbooks (chaos/gray/overload) run one full cell
-  per arm and must produce identical fault-log signatures, event
-  lines, and metric summaries.
+The reference checks the contract without a heap or tombstones: it
+keeps the live entries in a list, pops the smallest ``(time, seq)``
+each step, and re-appends a rescheduled entry under a fresh sequence
+number.  Hypothesis drives both through same-instant ties, far-future
+delays and ``fire_early`` reschedules, and requires identical pop
+traces.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.scenarios import load_runbook
-from repro.scenarios.schema import builtin_runbooks
-from repro.scenarios.runner import run_cell
 from repro.sim import Simulator
 
-#: One wheel rotation: _WHEEL_SLOTS << _WHEEL_SHIFT ns.
-WHEEL_SPAN_NS = 256 << 7
+#: Spread of the generated delays (ns).
+SPAN_NS = 32_768.0
 
 
-def pop_trace(legacy: bool, delays, reschedules=()):
-    """Fire a waiter per delay (plus optional fire_early reschedules on
-    a driver process) and return the (time, waiter) pop order."""
-    sim = Simulator(seed=4, legacy_heap=legacy)
+def kernel_trace(delays, reschedules=()):
+    """(time, label) pop order of one timeout per delay, plus one driver
+    timeout per ``(pick, at, early)`` that fires timeout ``pick`` early
+    to ``now + early`` when it pops at time ``at``."""
+    sim = Simulator(seed=4)
     trace = []
-    events = []
+    timeouts = []
 
-    def waiter(idx, delay):
-        yield sim.timeout(delay)
-        trace.append((sim.now, idx))
+    def record(label):
+        return lambda _event: trace.append((sim.now, label))
 
     for idx, delay in enumerate(delays):
-        sim.spawn(waiter(idx, delay), name=f"w{idx}")
-
-    def driver():
-        # Pre-schedule standalone events, then yank some forward.
-        for delay in delays:
-            events.append(sim.timeout(delay + 10_000.0))
-        for pick, early in reschedules:
-            yield sim.timeout(early)
-            sim.fire_early(events[pick % len(events)])
-        yield sim.timeout(1.0)
-
-    if reschedules:
-        sim.spawn(driver(), name="driver")
+        timeout = sim.timeout(delay)
+        timeout.add_callback(record(idx))
+        timeouts.append(timeout)
+    for j, (pick, at, early) in enumerate(reschedules):
+        target = timeouts[pick % len(timeouts)]
+        driver = sim.timeout(at)
+        driver.add_callback(record(f"driver{j}"))
+        driver.add_callback(
+            lambda _event, target=target, early=early:
+                sim.fire_early(target, early))
     sim.run()
+    return trace
+
+
+def reference_trace(delays, reschedules=()):
+    """The same schedule replayed on a sorted list of live entries."""
+    live = []
+    seq = 0
+
+    def push(time, label, action=None):
+        nonlocal seq
+        live.append((time, seq, label, action))
+        seq += 1
+
+    for idx, delay in enumerate(delays):
+        push(delay, idx)
+    for j, (pick, at, early) in enumerate(reschedules):
+        push(at, f"driver{j}", (pick % len(delays), early))
+    trace = []
+    while live:
+        entry = min(live, key=lambda e: (e[0], e[1]))
+        live.remove(entry)
+        now, _seq, label, action = entry
+        trace.append((now, label))
+        if action is None:
+            continue
+        target, early = action
+        for queued in live:
+            if queued[2] == target and queued[0] > now + early:
+                live.remove(queued)
+                push(now + early, target)
+                break
     return trace
 
 
@@ -65,76 +85,43 @@ def pop_trace(legacy: bool, delays, reschedules=()):
     st.one_of(
         # Dense near-term delays: same-instant ties are likely.
         st.sampled_from([0.0, 64.0, 128.0, 128.0, 4096.0]),
-        # Around wrap boundaries of the 32768 ns wheel rotation.
-        st.floats(min_value=WHEEL_SPAN_NS - 256.0,
-                  max_value=WHEEL_SPAN_NS + 256.0),
-        # Far-future overflow entries (several rotations out).
-        st.floats(min_value=0.0, max_value=8.0 * WHEEL_SPAN_NS),
+        # A narrow band: near-equal times.
+        st.floats(min_value=SPAN_NS - 256.0, max_value=SPAN_NS + 256.0),
+        # Far-future entries.
+        st.floats(min_value=0.0, max_value=8.0 * SPAN_NS),
     ),
     min_size=1, max_size=24,
 ))
-def test_property_wheel_matches_heap_pop_order(delays):
-    assert pop_trace(False, delays) == pop_trace(True, delays)
+def test_property_pop_order_matches_sorted_reference(delays):
+    assert kernel_trace(delays) == reference_trace(delays)
 
 
 @settings(max_examples=25, deadline=None)
 @given(
-    delays=st.lists(st.floats(min_value=0.0, max_value=4.0 * WHEEL_SPAN_NS),
+    delays=st.lists(st.floats(min_value=0.0, max_value=4.0 * SPAN_NS),
                     min_size=2, max_size=12),
     reschedules=st.lists(
         st.tuples(st.integers(min_value=0, max_value=11),
-                  st.floats(min_value=0.0, max_value=WHEEL_SPAN_NS)),
+                  st.floats(min_value=0.0, max_value=SPAN_NS),
+                  st.sampled_from([0.0, 0.0, 64.0, 4096.0])),
         min_size=1, max_size=6),
 )
-def test_property_fire_early_matches_heap(delays, reschedules):
-    """Tombstoned-and-rescheduled entries keep wheel order identical to
-    the heap's: fire_early is the elision hot path."""
-    wheel = pop_trace(False, delays, reschedules)
-    heap = pop_trace(True, delays, reschedules)
-    assert wheel == heap
+def test_property_fire_early_matches_sorted_reference(delays, reschedules):
+    """Tombstoned-and-rescheduled entries pop in the reference's order:
+    fire_early is the parked-dispatcher wakeup path."""
+    assert (kernel_trace(delays, reschedules)
+            == reference_trace(delays, reschedules))
 
 
 def test_same_instant_ties_pop_in_schedule_order():
-    """Ties resolve by schedule sequence in both kernels."""
-    for legacy in (False, True):
-        sim = Simulator(seed=0, legacy_heap=legacy)
-        order = []
+    sim = Simulator(seed=0)
+    order = []
 
-        def waiter(idx):
-            yield sim.timeout(500.0)
-            order.append(idx)
+    def waiter(idx):
+        yield sim.timeout(500.0)
+        order.append(idx)
 
-        for idx in range(16):
-            sim.spawn(waiter(idx), name=f"tie{idx}")
-        sim.run()
-        assert order == list(range(16)), f"legacy={legacy}"
-
-
-def _cell_fingerprint(result):
-    """Everything a cell's determinism contract covers."""
-    return (result.signature, tuple(result.events),
-            tuple(result.violations), tuple(result.expect_failures),
-            result.error, result.summary, result.sim_ns)
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("name", ["chaos", "gray", "overload"])
-def test_runbook_cell_identical_under_both_kernels(name, monkeypatch):
-    """One full cell per classic runbook: the wheel arm and the legacy
-    heap arm must agree on the fault log (signature + every line) and
-    the metric summary — the overhaul's headline acceptance gate."""
-    runbook = load_runbook(builtin_runbooks()[name])
-    cell = runbook.expand()[0]
-
-    monkeypatch.delenv("REPRO_SIM_LEGACY_HEAP", raising=False)
-    wheel = run_cell(cell, label=f"ladder-{name}")
-    rerun = run_cell(cell, label=f"ladder-{name}")
-    monkeypatch.setenv("REPRO_SIM_LEGACY_HEAP", "1")
-    heap = run_cell(cell, label=f"ladder-{name}")
-
-    # Same-seed rerun determinism on the wheel itself...
-    assert _cell_fingerprint(wheel) == _cell_fingerprint(rerun)
-    # ...and bit-identical artifacts across the kernel ladder.
-    assert wheel.signature == heap.signature
-    assert wheel.events == heap.events
-    assert _cell_fingerprint(wheel) == _cell_fingerprint(heap)
+    for idx in range(16):
+        sim.spawn(waiter(idx), name=f"tie{idx}")
+    sim.run()
+    assert order == list(range(16))
