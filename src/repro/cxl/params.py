@@ -140,6 +140,11 @@ HEDGE_TX_DEADLINE_NS = 10_000_000.0
 #: hedger stands down and leaves recovery to the watchdog/failover.
 HEDGE_STREAK_LIMIT = 8
 
+#: Consecutive fence kicks (doorbells re-rung after a fence nack)
+#: without an intervening completion before the client stops kicking: a
+#: device that genuinely moved is left to the watchdog/failover.
+FENCE_KICK_STREAK_LIMIT = 8
+
 #: Server-side op-dedup journal depth (per borrower channel).  Must
 #: comfortably exceed the deepest client queue (64 entries) times the
 #: hedge amplification, or hedged retries could outrun dedup.

@@ -20,6 +20,9 @@ Three ideas compose here:
    driver is local or remote; they just DMA and honor doorbells.  That is
    the paper's "no device modifications" claim, enforced structurally.
 
+:mod:`repro.datapath.queue_client` is the borrower-side ring protocol
+(journal, doorbell frontier, CQ collector, hedging, failover) that the
+pooled SSD and accelerator clients share.
 :mod:`repro.datapath.netstack` builds a Junction-like userspace UDP stack
 on top, and :mod:`repro.datapath.udpbench` runs the paper's Figure 3
 microbenchmark over it.

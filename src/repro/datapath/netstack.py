@@ -24,6 +24,7 @@ from typing import Optional
 from repro.channel.rpc import RpcError
 from repro.cxl.link import LinkDownError
 from repro.cxl.params import (
+    FENCE_KICK_STREAK_LIMIT,
     HEDGE_STREAK_LIMIT,
     HEDGE_TX_DEADLINE_NS,
     LINK_RETRY_POLL_NS,
@@ -504,7 +505,7 @@ class UdpStack:
         if (msg.device_id != self.handle.device_id
                 or not self._started
                 or self._kick_pending
-                or self._kick_streak >= 8):
+                or self._kick_streak >= FENCE_KICK_STREAK_LIMIT):
             return
         self._kick_pending = True
         self.sim.spawn(self._fence_kick(), name=f"{self.name}.kick")

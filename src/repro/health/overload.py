@@ -214,7 +214,10 @@ class AimdWindow:
         self.inflight += 1
 
     def release(self) -> None:
-        self.inflight = max(0, self.inflight - 1)
+        if self.inflight <= 0:
+            # A double release: an accounting bug in the caller.
+            raise RuntimeError(f"{self.name}: release with nothing in flight")
+        self.inflight -= 1
 
     def wait_for_slot(self, sim, poll_ns: float = 2_000.0):
         """Process: pace until the window admits one more in-flight op."""

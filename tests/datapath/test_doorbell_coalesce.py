@@ -9,12 +9,16 @@ counters the benchmark reads, and the interaction with lease fencing
 token, journal intact).
 """
 
+import zlib
+
 import pytest
 
 from repro.channel.rpc import RpcEndpoint
 from repro.cxl.pod import CxlPod, PodConfig
 from repro.datapath.proxy import DeviceServer, RemoteDeviceHandle
+from repro.datapath.vaccel import RemoteAcceleratorClient
 from repro.datapath.vssd import RemoteSsdClient
+from repro.pcie.accelerator import KERNEL_COMPRESS, Accelerator
 from repro.pcie.nic import TX_QUEUE, Nic
 from repro.pcie.ssd import Ssd
 from repro.sim import Simulator
@@ -158,18 +162,24 @@ def test_carrier_failure_keeps_merged_doorbell_pending(setup):
     teardown(sim, eps)
 
 
-def test_coalesced_doorbell_replays_across_lease_fence():
+@pytest.mark.parametrize("kind", ["write_burst", "run_jobs"])
+def test_coalesced_doorbell_replays_across_lease_fence(kind):
     """A burst's single doorbell dropped by a token rotation is nacked
     out-of-band and replayed with a refreshed token; every journaled
-    command of the burst still completes."""
+    entry of the burst still completes.  Both pooled clients share the
+    fence kick: the SSD's ``write_burst`` and the accelerator's
+    ``run_jobs``."""
     sim = Simulator(seed=11)
     pod = CxlPod(sim, PodConfig(n_hosts=3, n_mhds=2, mhd_capacity=1 << 27))
-    ssd = Ssd(sim, "ssd0", device_id=10)
-    ssd.attach(pod.host("h0"))
-    ssd.start()
+    if kind == "write_burst":
+        device = Ssd(sim, "ssd0", device_id=10)
+    else:
+        device = Accelerator(sim, "accel0", device_id=10)
+    device.attach(pod.host("h0"))
+    device.start()
     owner_ep, borrower_ep = RpcEndpoint.pair(pod, "h0", "h2")
     server = DeviceServer(owner_ep)
-    server.export(ssd)
+    server.export(device)
     server.set_lease(10, token=1, expires_at_ns=1e15)
     handle = RemoteDeviceHandle(borrower_ep, device_id=10)
     handle.token = 1
@@ -177,26 +187,36 @@ def test_coalesced_doorbell_replays_across_lease_fence():
     # epoch on the same endpoint (what the pool does after a re-grant).
     handle.resolver = lambda: (handle.endpoint,
                                server.lease_snapshot()[10][0])
-    client = RemoteSsdClient(sim, pod.host("h2"), handle, pod, "h0")
+    payloads = [bytes([i]) * 512 for i in range(8)]
+    if kind == "write_burst":
+        client = RemoteSsdClient(sim, pod.host("h2"), handle, pod, "h0")
+        burst = client.write_burst(
+            [(i * 64, data) for i, data in enumerate(payloads)])
+    else:
+        client = RemoteAcceleratorClient(sim, pod.host("h2"), handle, pod,
+                                         "h0")
+        burst = client.run_jobs(
+            [(KERNEL_COMPRESS, data) for data in payloads])
 
     def proc():
         yield from client.setup()
         # Rotate the token the moment the burst is posted: its one
         # coalesced doorbell arrives with the stale epoch and is fenced.
         server.set_lease(10, token=2, expires_at_ns=1e15)
-        statuses = yield from client.write_burst(
-            [(i * 64, bytes([i]) * 512) for i in range(8)]
-        )
-        return statuses
+        results = yield from burst
+        return results
 
     p = sim.spawn(proc())
     sim.run(until=p)
-    assert p.value == [0] * 8
+    if kind == "write_burst":
+        assert p.value == [0] * 8
+    else:
+        assert [zlib.decompress(r) for r in p.value] == payloads
     assert client.ops_completed == 8
     assert client.fence_kicks >= 1          # replayed doorbell
     assert server.fenced_ops >= 1           # the stale one was refused
     assert handle.token == 2                # refreshed epoch stuck
-    ssd.stop()
+    device.stop()
     for ep in (owner_ep, borrower_ep):
         ep.close()
     sim.run()

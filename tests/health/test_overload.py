@@ -7,6 +7,8 @@ These tests pin the arithmetic — token flow, window dynamics, ladder
 hysteresis — that the datapath and pool layers build on.
 """
 
+import pytest
+
 from repro.health import (
     BROWNOUT_DEMOTE,
     BROWNOUT_NORMAL,
@@ -115,6 +117,18 @@ def test_window_floors_at_lo():
     for i in range(20):
         w.on_busy(now=float(i))
     assert w.window == 2.0               # never below the floor
+
+
+def test_release_with_nothing_in_flight_raises():
+    """A release with nothing in flight is an accounting bug (a double
+    release somewhere); clamping ``inflight`` at zero would hide it."""
+    w = AimdWindow("t", lo=1.0, hi=2.0)
+    w.acquire()
+    w.release()
+    with pytest.raises(RuntimeError, match="nothing in flight"):
+        w.release()
+    assert w.inflight == 0               # the bad release changed nothing
+    assert w.can_submit()
 
 
 def test_wait_for_slot_paces_until_a_release():
