@@ -27,7 +27,7 @@ from repro.cxl.cache import CpuCache
 from repro.cxl.device import PoisonedMemoryError
 from repro.cxl.link import LinkDownError
 from repro.cxl.mhd import MhdFailedError
-from repro.sim import AllOf
+from repro.sim import AllOf, Timeout
 
 _ZERO_LINE = bytes(CACHELINE_BYTES)
 
@@ -216,22 +216,31 @@ class HostMemorySystem:
         self._store_wid += 1
         wid = self._store_wid
         self._store_buffer[addr] = (wid, data)
-        self.sim.spawn(
-            self._drain_store(addr, wid, data, self._store_latency(addr)),
-            name=f"nt-drain:{self.host_id}:{addr:#x}",
-        )
+        self._post_line(addr, data, self._store_latency(addr), "nt-drain", wid)
 
-    def _drain_store(self, addr: int, wid: int, data: bytes, delay: float):
-        yield self.sim.timeout(delay)
+    def _post_line(self, addr: int, data: bytes, delay: float, name: str,
+                   wid: int | None = None) -> None:
+        """Land a posted line at its device ``delay`` ns from now.
+
+        One kernel event, no process: an NT store (``wid`` names its
+        store-buffer entry) or a dirty-eviction writeback (``wid`` None).
+        """
+        landing = Timeout(self.sim, delay, value=(addr, data, wid),
+                          name=name)
+        landing.callbacks.append(self._land_line)
+
+    def _land_line(self, landing: Timeout) -> None:
+        addr, data, wid = landing.value
         try:
             self._medium_write_line(addr, data)
         except LinkDownError:
-            # Posted store to a device that died in flight: the write is
+            # Posted write to a device that died in flight: the write is
             # lost (counted), never silently half-applied.
             self.stores_dropped += 1
-        entry = self._store_buffer.get(addr)
-        if entry is not None and entry[0] == wid:
-            del self._store_buffer[addr]
+        if wid is not None:
+            entry = self._store_buffer.get(addr)
+            if entry is not None and entry[0] == wid:
+                del self._store_buffer[addr]
 
     # -- convenience span operations (CPU, cached) -------------------------------
 
@@ -452,14 +461,6 @@ class HostMemorySystem:
             return self._route_cached(addr)[3].store_latency()
         return self.timings.ddr5_store_ns
 
-    def _delayed_line_write(self, addr: int, data: bytes, delay: float):
-        yield self.sim.timeout(delay)
-        try:
-            self._medium_write_line(addr, data)
-        except LinkDownError:
-            # Dirty eviction racing a device crash: drop, count.
-            self.stores_dropped += 1
-
     def _handle_evictions(self, evicted: list[tuple[int, bytes]]) -> None:
         # Dirty evictions write back asynchronously (like a real WB cache).
         for addr, data in evicted:
@@ -471,10 +472,7 @@ class HostMemorySystem:
                 # that triggered the eviction.
                 self.stores_dropped += 1
                 continue
-            self.sim.spawn(
-                self._delayed_line_write(addr, data, delay),
-                name=f"evict-wb:{self.host_id}:{addr:#x}",
-            )
+            self._post_line(addr, data, delay, "evict-wb")
 
     def __repr__(self) -> str:
         return f"<HostMemorySystem {self.host_id}>"

@@ -27,6 +27,9 @@ overload posture even when everything is idle.
 
 from __future__ import annotations
 
+from math import ceil
+from operator import attrgetter
+
 from repro.cxl.params import (
     AIMD_DECREASE_COOLDOWN_NS,
     AIMD_DECREASE_FACTOR,
@@ -43,7 +46,7 @@ from repro.cxl.params import (
 )
 from repro.obs import names as _names
 from repro.obs import runtime as _obs
-from repro.sim.errors import SimError
+from repro.sim.errors import Interrupt, SimError
 
 #: Brownout ladder rungs, least to most aggressive.
 BROWNOUT_NORMAL = 0      # full service
@@ -164,12 +167,27 @@ class RetryBudget:
         )
 
 
+class _Waiter:
+    """One paced-out submitter parked on its poll grid."""
+
+    __slots__ = ("order", "next_ns", "poll_ns", "wake")
+
+    def __init__(self, order: int, next_ns: float, poll_ns: float, wake):
+        self.order = order
+        self.next_ns = next_ns
+        self.poll_ns = poll_ns
+        self.wake = wake
+
+
+_RANK = attrgetter("next_ns", "order")
+
+
 class AimdWindow:
     """Additive-increase / multiplicative-decrease submission window.
 
     Callers bracket each in-flight op with :meth:`acquire` /
-    :meth:`release` and poll :meth:`can_submit` before posting; the
-    window reacts to the cooperative-backpressure signals:
+    :meth:`release` and pace in :meth:`wait_for_slot` before posting;
+    the window reacts to the cooperative-backpressure signals:
 
     * a clean completion with low piggybacked occupancy adds
       ``increase`` (additive probe for more room);
@@ -202,6 +220,13 @@ class AimdWindow:
         self.increases = 0
         self.decreases = 0
         self.paced_waits = 0
+        # Slot ledger, for the pacer-slot conservation auditor.
+        self.acquired = 0
+        self.released = 0
+        self._parked: list[_Waiter] = []
+        self._park_count = 0
+        # (process, sim time, park order) of the last woken admission.
+        self._readmit: tuple = (None, None, 0)
         self._last_decrease_ns = float("-inf")
         _obs.METRICS.counter(_names.OVERLOAD_PACING_WAITS)
         self._gauge = _obs.METRICS.gauge(_names.OVERLOAD_PACING_WINDOW)
@@ -212,21 +237,98 @@ class AimdWindow:
 
     def acquire(self) -> None:
         self.inflight += 1
+        self.acquired += 1
 
     def release(self) -> None:
         if self.inflight <= 0:
             # A double release: an accounting bug in the caller.
             raise RuntimeError(f"{self.name}: release with nothing in flight")
         self.inflight -= 1
+        self.released += 1
+        self._arm()
+
+    @property
+    def parked(self) -> int:
+        """Paced-out submitters waiting for a slot."""
+        return len(self._parked)
+
+    @property
+    def armed(self) -> int:
+        """Parked submitters holding a pending wake."""
+        return sum(1 for waiter in self._parked
+                   if waiter.wake.triggered and not waiter.wake.processed)
 
     def wait_for_slot(self, sim, poll_ns: float = 2_000.0):
-        """Process: pace until the window admits one more in-flight op."""
+        """Process: pace until the window admits one more in-flight op.
+
+        A paced-out submitter parks on its own virtual poll grid —
+        ``park + poll_ns``, then ``+= poll_ns``, the same float sums a
+        ``while not can_submit(): timeout(poll_ns)`` loop would make —
+        and costs no kernel event until a slot opens.  When one does
+        (:meth:`release`, or an additive increase in :meth:`on_ack`),
+        the first ``ceil(window - inflight)`` parked submitters by (next
+        grid point, park order) — the ones that loop would admit next —
+        each get one wake at that grid point, so admission times are
+        the loop's.  A woken submitter checks :meth:`can_submit` again;
+        if a fresh arrival or a decrease took the slot, it advances its
+        grid and parks unarmed.
+
+        Ties: a grid point equal to the opening instant admits at that
+        instant.  Submitters whose grid points coincide rank in park
+        order, and one that parks again in the step that admitted it
+        (pacing several slots in a row) keeps its place.
+        """
         if self.can_submit():
             return
         self.paced_waits += 1
         _obs.METRICS.counter(_names.OVERLOAD_PACING_WAITS).inc()
-        while not self.can_submit():
-            yield sim.timeout(poll_ns)
+        proc = sim.active_process
+        if self._readmit[:2] == (proc, sim.now):
+            order = self._readmit[2]
+        else:
+            order = self._park_count
+            self._park_count += 1
+        waiter = _Waiter(order, sim.now + poll_ns, poll_ns,
+                         sim.event("pacer-wake"))
+        self._parked.append(waiter)
+        try:
+            while True:
+                yield waiter.wake
+                if self.can_submit():
+                    break
+                waiter.next_ns += poll_ns
+                waiter.wake = sim.event("pacer-wake")
+        except Interrupt:
+            # Leaving while parked: a wake armed for us goes to the next
+            # submitter in line.
+            self._parked.remove(waiter)
+            self._arm()
+            raise
+        self._parked.remove(waiter)
+        self._readmit = (proc, sim.now, order)
+
+    def _arm(self) -> None:
+        """Wake the parked submitters the polling loop would admit next."""
+        if not self._parked:
+            return
+        free = ceil(self.window - self.inflight)
+        if free <= 0:
+            return
+        sim = self._parked[0].wake.sim
+        now = sim.now
+        for waiter in self._parked:
+            # Catch the grid up over the polls that would have found the
+            # window full (armed waiters are already at or past now).
+            next_ns = waiter.next_ns
+            while next_ns < now:
+                next_ns += waiter.poll_ns
+            waiter.next_ns = next_ns
+        for waiter in sorted(self._parked, key=_RANK)[:free]:
+            if not waiter.wake.triggered:
+                # Lands on the grid point to the last bit: next - now is
+                # exact once now >= poll_ns (Sterbenz).  Inside a run's
+                # first poll period the kernel's now + delay can round.
+                waiter.wake.succeed(delay=waiter.next_ns - now)
 
     def on_ack(self, occupancy_permille: int, now: float) -> None:
         """Fold one completion's piggybacked occupancy into the window."""
@@ -237,6 +339,7 @@ class AimdWindow:
                 self.window = min(self.hi, self.window + self.increase)
                 self.increases += 1
                 self._gauge.set(self.window)
+                self._arm()
 
     def on_busy(self, now: float) -> None:
         """A busy nack: hard pressure, decrease (cooldown still applies)."""

@@ -21,8 +21,8 @@ a heisenbug factory.
 
 Each auditor is mutation-tested (``tests/scenarios/test_invariants.py``):
 a seeded violation — counterfeit budget tokens, a double completion, a
-second unfenced lease holder, an unaccounted poison — must trip exactly
-the auditor that owns the property.
+second unfenced lease holder, an unaccounted poison, a phantom pacer
+slot — must trip exactly the auditor that owns the property.
 """
 
 from __future__ import annotations
@@ -262,12 +262,50 @@ class RetryBudgetAuditor(InvariantAuditor):
         return self._check(ctx)
 
 
+class PacerSlotAuditor(InvariantAuditor):
+    """Pacer-slot conservation: every AIMD window slot is accounted for.
+
+    Each window must satisfy ``acquired == released + inflight`` with
+    ``inflight >= 0`` — a slot taken off the books, or handed back
+    twice, breaks the ledger — and must never lose a wakeup: while the
+    window has a free slot and a submitter is parked on it, at least one
+    parked submitter holds a pending wake.
+    """
+
+    name = "pacer_slot_conservation"
+
+    def _check(self, ctx) -> list:
+        violations = []
+        for _key, pacer in sorted(ctx.pool._pacers.items()):
+            if pacer.acquired != pacer.released + pacer.inflight:
+                violations.append(self._v(
+                    f"{pacer.name}: acquired {pacer.acquired} != released "
+                    f"{pacer.released} + inflight {pacer.inflight}"))
+            if pacer.inflight < 0:
+                violations.append(self._v(
+                    f"{pacer.name}: negative inflight {pacer.inflight}"))
+            if (pacer.inflight < pacer.window and pacer.parked
+                    and not pacer.armed):
+                violations.append(self._v(
+                    f"{pacer.name}: lost wakeup: {pacer.parked} parked, "
+                    f"none armed, window {pacer.window:.1f} > inflight "
+                    f"{pacer.inflight}"))
+        return violations
+
+    def sample(self, ctx) -> list:
+        return self._check(ctx)
+
+    def finish(self, ctx) -> list:
+        return self._check(ctx)
+
+
 #: Registry: auditor name -> factory.  ``ScenarioSpec.invariants`` may
 #: name a subset; the default is all of them, always.
 AUDITORS = {
     cls.name: cls
     for cls in (ExactlyOnceAuditor, AssignmentAuditor, CorruptionAuditor,
-                FencingAuditor, QuarantineLeaseAuditor, RetryBudgetAuditor)
+                FencingAuditor, QuarantineLeaseAuditor, RetryBudgetAuditor,
+                PacerSlotAuditor)
 }
 
 

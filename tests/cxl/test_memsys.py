@@ -87,6 +87,95 @@ def test_nt_store_visible_to_other_host(pod):
     assert p.value == LINE_A
 
 
+def test_nt_store_lands_exactly_at_commit_plus_store_latency(pod):
+    sim, pod = pod
+    h0, h1 = pod.host("h0"), pod.host("h1")
+    # Committed after the issue cost, visible one store latency later.
+    visible_at = DEFAULT_TIMINGS.cpu_issue_ns + DEFAULT_TIMINGS.cxl_store_ns
+
+    def writer():
+        yield from h0.store_line_nt(POOL_BASE, LINE_A)
+
+    def reader(at):
+        yield sim.timeout(at)
+        return (yield from h1.load_line_uncached(POOL_BASE))
+
+    sim.spawn(writer())
+    before = sim.spawn(reader(visible_at - 1.0))
+    after = sim.spawn(reader(visible_at + 1.0))
+    sim.run()
+    assert before.value == bytes(64)
+    assert after.value == LINE_A
+
+
+def test_nt_store_to_an_mhd_that_dies_in_flight_is_dropped(pod):
+    sim, pod = pod
+    h0 = pod.host("h0")
+    mhd = pod.mhds[pod.route(POOL_BASE)[0]]
+    seen = {}
+
+    def writer():
+        yield from h0.store_line_nt(POOL_BASE, LINE_A)   # committed
+        mhd.fail()                                        # before it lands
+        yield sim.timeout(1_000.0)
+        mhd.repair()
+        seen["line"] = yield from h0.load_line_uncached(POOL_BASE)
+
+    sim.spawn(writer())
+    sim.run()
+    assert h0.stores_dropped == 1
+    # Lost, and its store-buffer entry retired: the writer no longer
+    # forwards the line to itself.
+    assert seen["line"] == bytes(64)
+
+
+def test_dirty_eviction_writeback_lands_at_the_store_latency(pod):
+    sim, pod = pod
+    h0, h1 = pod.host("h0"), pod.host("h1")
+    h0.cache.capacity_lines = 1
+    evicted_at = {}
+
+    def writer():
+        yield from h0.store_line(POOL_BASE, LINE_A)        # dirty in cache
+        yield from h0.store_line(POOL_BASE + 64, LINE_B)   # evicts it
+        evicted_at["t"] = sim.now
+
+    def reader(after_eviction):
+        yield sim.timeout(DEFAULT_TIMINGS.cpu_issue_ns * 2
+                          + DEFAULT_TIMINGS.cache_hit_ns * 2
+                          + DEFAULT_TIMINGS.cxl_store_ns + after_eviction)
+        return (yield from h1.load_line_uncached(POOL_BASE))
+
+    sim.spawn(writer())
+    before = sim.spawn(reader(-1.0))
+    after = sim.spawn(reader(1.0))
+    sim.run()
+    assert h0.cache.writebacks == 1
+    assert before.value == bytes(64)
+    assert after.value == LINE_A
+
+
+def test_dirty_eviction_to_an_mhd_that_dies_in_flight_is_dropped(pod):
+    sim, pod = pod
+    h0 = pod.host("h0")
+    h0.cache.capacity_lines = 1
+    mhd = pod.mhds[pod.route(POOL_BASE)[0]]
+
+    def writer():
+        yield from h0.store_line(POOL_BASE, LINE_A)
+        yield from h0.store_line(POOL_BASE + 64, LINE_B)   # writeback posted
+        mhd.fail()                                          # before it lands
+        yield sim.timeout(1_000.0)
+        mhd.repair()
+
+    done = sim.spawn(writer())
+    sim.run()
+    assert done.ok                       # the run continues past the drop
+    assert h0.cache.writebacks == 1
+    assert h0.stores_dropped == 1
+    assert pod.pool_read(POOL_BASE, 64) == bytes(64)
+
+
 def test_temporal_store_invisible_to_other_host_stale_hazard(pod):
     """THE hazard: temporal stores sit dirty in the writer's cache and the
     pool (hence every other host) keeps the stale value."""

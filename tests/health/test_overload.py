@@ -8,6 +8,8 @@ hysteresis — that the datapath and pool layers build on.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.health import (
     BROWNOUT_DEMOTE,
@@ -17,7 +19,7 @@ from repro.health import (
     BrownoutController,
     RetryBudget,
 )
-from repro.sim import Simulator
+from repro.sim import Interrupt, Simulator
 
 
 # ------------------------------------------------------------ RetryBudget
@@ -150,9 +152,187 @@ def test_wait_for_slot_paces_until_a_release():
     p = sim.spawn(submitter())
     sim.spawn(releaser())
     sim.run(until=p)
-    assert times["admitted"] >= 5_000.0
+    # The release lands on the submitter's poll grid: the tie admits at
+    # that instant, as the polling loop did.
+    assert times["admitted"] == 5_000.0
     assert w.paced_waits == 1
     assert w.inflight == 2
+
+
+def test_wake_lands_on_the_grid_point_to_the_last_bit():
+    """Off-lattice times: the wake lands where the polling loop's
+    timeouts would have, the float sum park + poll_ns + poll_ns."""
+    park, opening = 12_345.678901234, 15_000.987654321
+    sim = Simulator()
+    w = AimdWindow("t", lo=1.0, hi=1.0)
+    w.acquire()
+    times = {}
+
+    def submitter():
+        yield sim.timeout(park)
+        yield from w.wait_for_slot(sim, poll_ns=2_000.0)
+        times["admitted"] = sim.now
+
+    def releaser():
+        yield sim.timeout(opening)
+        w.release()
+
+    sim.spawn(submitter())
+    sim.spawn(releaser())
+    sim.run()
+    assert times["admitted"] == park + 2_000.0 + 2_000.0
+
+
+def test_parked_submitters_cost_no_events_until_a_slot_opens():
+    """Eight submitters paced out behind a full window of 8 for 10 ms: a
+    2 µs polling loop spends 40 000 events on them, parking spends one
+    wake each."""
+    sim = Simulator()
+    w = AimdWindow("t", lo=1.0, hi=8.0)
+    for _ in range(8):
+        w.acquire()
+    admitted = []
+
+    def submitter(i):
+        yield from w.wait_for_slot(sim, poll_ns=2_000.0)
+        w.acquire()
+        admitted.append((i, sim.now))
+
+    def releaser():
+        yield sim.timeout(10e6)
+        for _ in range(8):
+            w.release()
+
+    for i in range(8):
+        sim.spawn(submitter(i))
+    sim.spawn(releaser())
+    sim.run()
+    assert admitted == [(i, 10e6) for i in range(8)]    # park order
+    assert w.paced_waits == 8
+    assert sim.events_processed < 200
+
+
+def test_interrupted_waiter_hands_its_wake_to_the_next_in_line():
+    sim = Simulator()
+    w = AimdWindow("t", lo=1.0, hi=1.0)
+    w.acquire()
+    outcome = {}
+
+    def submitter(name):
+        try:
+            yield from w.wait_for_slot(sim, poll_ns=1_000.0)
+        except Interrupt:
+            outcome[name] = "interrupted"
+            return
+        w.acquire()
+        outcome[name] = sim.now
+
+    first = sim.spawn(submitter("first"))
+    sim.spawn(submitter("second"))
+
+    def interrupter():
+        yield sim.timeout(1_500.0)
+        w.release()
+        assert (w.parked, w.armed) == (2, 1)      # first is armed for 2 µs
+        first.interrupt()
+
+    sim.spawn(interrupter())
+    sim.run()
+    assert outcome == {"first": "interrupted", "second": 2_000.0}
+    assert (w.parked, w.armed) == (0, 0)
+    assert w.acquired == w.released + w.inflight
+
+
+# -- the parked pacer against the polling loop it replaces ------------------
+
+POLL_NS = 2_000.0
+
+
+def polling_wait(window, sim, poll_ns):
+    """The loop the parked pacer replaced, kept as its reference."""
+    if window.can_submit():
+        return
+    window.paced_waits += 1
+    while not window.can_submit():
+        yield sim.timeout(poll_ns)
+
+
+def run_pacer(schedule, wait):
+    """Drive one AimdWindow through ``schedule`` with ``wait`` as the pace.
+
+    Each arrival spawns a submitter at its instant, as the pool does per
+    op, which then paces for ``count`` slots in a row (the burst path's
+    ``_pace``).  Controls are releases, clean acks (additive increase),
+    pressured acks and busy nacks (cooldown-limited decreases).
+    """
+    increase, cooldown_ns, preload, arrivals, controls = schedule
+    sim = Simulator()
+    w = AimdWindow("t", lo=1.0, hi=4.0, increase=increase,
+                   cooldown_ns=cooldown_ns)
+    for _ in range(preload):
+        w.acquire()
+    admitted = []
+
+    def submitter(i, count):
+        for slot in range(count):
+            yield from wait(w, sim, POLL_NS)
+            w.acquire()
+            admitted.append((i, slot, sim.now))
+
+    def arrive():
+        for i, (at, count) in enumerate(arrivals):
+            if at > sim.now:
+                yield sim.timeout(at - sim.now)
+            sim.spawn(submitter(i, count))
+
+    def control():
+        for at, kind in controls:
+            yield sim.timeout(at - sim.now)
+            if kind == "release":
+                if w.inflight:
+                    w.release()
+            elif kind == "busy":
+                w.on_busy(sim.now)
+            else:
+                w.on_ack(900 if kind == "pressure" else 0, sim.now)
+
+    sim.spawn(arrive())
+    sim.spawn(control())
+    sim.run(until=160 * POLL_NS)
+    return admitted, w.paced_waits, w.inflight, w.window
+
+
+@st.composite
+def pacer_schedules(draw):
+    # Arrivals on a quarter-poll lattice: submitters' grids both coincide
+    # (ties rank in park order) and interleave (rank by next grid point).
+    arrivals = sorted(draw(st.lists(
+        st.tuples(st.integers(0, 240).map(lambda k: k * POLL_NS / 4),
+                  st.sampled_from([1, 1, 1, 2, 3])),
+        min_size=1, max_size=14)))
+    # Off the lattice: a strictly fractional poll offset.
+    off_lattice = st.tuples(st.integers(0, 119), st.integers(1, 1_999)).map(
+        lambda kf: kf[0] * POLL_NS + kf[1] + 0.25)
+    times = sorted(draw(st.lists(off_lattice, min_size=1, max_size=40,
+                                 unique=True)))
+    kinds = draw(st.lists(
+        st.sampled_from(["release", "release", "ack", "pressure", "busy"]),
+        min_size=len(times), max_size=len(times)))
+    return (draw(st.sampled_from([0.5, 1.0])),
+            draw(st.sampled_from([0.0, 5_000.0])),
+            draw(st.integers(0, 4)),
+            arrivals, list(zip(times, kinds, strict=True)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pacer_schedules())
+def test_parked_pacer_admits_exactly_like_the_polling_loop(schedule):
+    parked = run_pacer(
+        schedule, lambda w, sim, poll_ns: w.wait_for_slot(sim, poll_ns))
+    polled = run_pacer(schedule, polling_wait)
+    # Every admission time, the admission order, paced_waits, and the
+    # final window state.
+    assert parked == polled
 
 
 # ----------------------------------------------------- BrownoutController

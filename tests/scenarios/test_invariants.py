@@ -120,6 +120,48 @@ def test_retry_budget_trips_on_counterfeit_tokens():
     assert tripped(result) == {"retry_budget_conservation"}
 
 
+def only_pacer(ctx):
+    """The one AIMD window of the quiet cell's h2 vSSD path."""
+    (pacer,) = ctx.pool._pacers.values()
+    return pacer
+
+
+def test_pacer_slot_conservation_trips_on_phantom_acquire():
+    def phantom_acquire(ctx):
+        only_pacer(ctx).inflight += 1        # a slot taken off the books
+
+    result = run_sabotaged(phantom_acquire)
+    assert not result.ok
+    assert tripped(result) == {"pacer_slot_conservation"}
+    assert any("acquired" in v for v in result.violations)
+
+
+def test_pacer_slot_conservation_trips_on_negative_inflight():
+    def unguarded_double_release(ctx):
+        pacer = only_pacer(ctx)
+        pacer.inflight -= 1                  # past the double-release guard
+        pacer.released += 1
+
+    result = run_sabotaged(unguarded_double_release)
+    assert not result.ok
+    assert tripped(result) == {"pacer_slot_conservation"}
+    assert all("negative inflight" in v for v in result.violations)
+
+
+def test_pacer_slot_conservation_trips_on_a_disarmed_parked_waiter():
+    def park_disarmed(ctx):
+        pacer = only_pacer(ctx)
+        window = pacer.window
+        pacer.window = float(pacer.inflight)     # full...
+        next(pacer.wait_for_slot(ctx.pool.sim))  # ...so a submitter parks
+        pacer.window = window                    # reopened without a wake
+
+    result = run_sabotaged(park_disarmed)
+    assert not result.ok
+    assert tripped(result) == {"pacer_slot_conservation"}
+    assert all("lost wakeup" in v for v in result.violations)
+
+
 # -- registry ---------------------------------------------------------------
 
 
@@ -127,7 +169,7 @@ def test_registry_covers_the_issue_invariants():
     assert set(AUDITORS) == {
         "exactly_once", "no_lost_assignments", "no_undetected_corruption",
         "fencing_safety", "lease_safety_under_quarantine",
-        "retry_budget_conservation"}
+        "retry_budget_conservation", "pacer_slot_conservation"}
 
 
 def test_build_auditors_defaults_to_all():
