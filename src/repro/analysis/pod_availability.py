@@ -78,9 +78,6 @@ class PodTopology:
 
     # -- cost of redundancy ---------------------------------------------------------
 
-    def links_per_host(self) -> int:
-        return self.lam
-
     def capacity_overhead(self) -> float:
         """Extra raw capacity bought for redundancy (copies - 1)."""
         return float(self.data_copies - 1)

@@ -34,6 +34,15 @@ the progress line; a sender that catches up with ``consumed + N`` polls
 that line until space opens.  No cross-host atomics are needed — single
 producer, single consumer, each variable written by exactly one side.
 
+Wakeups: a receiver that finds its ring empty may park instead of
+polling (see :mod:`repro.channel.rpc`).  The ring owns that rendezvous.
+A slot becomes readable only through :meth:`RingSender._write_slot` or
+:meth:`RingSender._publish_run`, and each ends in one ``_announce``:
+it records the sender's count on the receiver
+(:attr:`RingReceiver.published`) and triggers the receiver's pending
+:attr:`RingReceiver.wake` event.  A parked poller therefore cannot miss
+a publish, and needs no timeout to bound a missed one.
+
 Burst datapath: :meth:`RingSender.send_burst` reserves K contiguous
 slots under one flow-control check and publishes them as at most two
 contiguous multi-line NT stores (split only at the ring wrap);
@@ -191,6 +200,7 @@ class RingChannel:
         self.layout = layout
         self.sender = RingSender(sender_region, layout)
         self.receiver = RingReceiver(receiver_region, layout)
+        self.sender.peer = self.receiver
         #: Filled in by :meth:`over_pod` for recovery bookkeeping.
         self.alloc = None
         self.mhd_index: int | None = None
@@ -261,10 +271,9 @@ class RingSender:
         # published frame is still snapshotted immutable before the first
         # yield — concurrent sender processes share this scratch.
         self._scratch = bytearray(CACHELINE_BYTES)
-        # Poll-elision rendezvous: both halves of a ring derive the same
-        # key from the shared allocation base, so a sender can wake a
-        # parked receiver through ``sim.notify`` (see repro.channel.rpc).
-        self.notify_key = ("ring", region.base)
+        #: The receiving half, linked by :class:`RingChannel`: every
+        #: publish is announced to it (:meth:`_announce`).
+        self.peer: RingReceiver | None = None
         # Ring-full stalls observed (blocking sends) / refusals (try_send).
         self.full_events = 0
         # Bounded sends that hit their deadline while still full —
@@ -519,11 +528,21 @@ class RingSender:
                 self.link_retries += 1
                 yield sim.timeout(self.link_retry_poll_ns)
         self.sent += len(payloads)
-        # Wake a parked receiver.  The burst is *committed* but lands at
-        # the media one store latency later; the published count rides
-        # along so an awake receiver knows not to park across that
-        # window.
-        sim.notify(self.notify_key, self.sent)
+        self._announce()
+
+    def _announce(self) -> None:
+        """Record the publish count on the receiver and wake its poller.
+
+        The slots are *committed* but land at the media one store
+        latency later: an awake receiver compares ``published`` with its
+        consumed count and keeps polling across that window instead of
+        parking.
+        """
+        peer = self.peer
+        peer.published = self.sent
+        wake = peer.wake
+        if wake is not None and not wake.triggered:
+            wake.succeed()
 
     def _note_full(self) -> None:
         self.full_events += 1
@@ -572,9 +591,7 @@ class RingSender:
                 self.link_retries += 1
                 yield sim.timeout(self.link_retry_poll_ns)
         self.sent += 1
-        # Wake a parked receiver (poll elision); a receiver that is not
-        # parked sees no waiter list and the call is two dict probes.
-        sim.notify(self.notify_key, self.sent)
+        self._announce()
 
     def _refresh_progress(self):
         try:
@@ -614,10 +631,13 @@ class RingReceiver:
         # a flap can never deadlock a sender waiting for ring space.
         self._progress_dirty = False
         self.deferred_progress = 0
-        #: Poll-elision rendezvous key (mirror of the sender's): a parked
-        #: dispatcher registers under this key and the sender's publish
-        #: fires its watchdog timeout early.
-        self.notify_key = ("ring", region.base)
+        #: The sender's count as of its last publish (written by
+        #: :meth:`RingSender._announce`; it runs ahead of the slots that
+        #: have landed at the media).
+        self.published = 0
+        #: The pending event a parked poller waits on; None while awake.
+        #: The sender's next publish triggers it.
+        self.wake = None
         #: Set when the channel's memory is freed: all receives must fail.
         self.retired = False
         #: Gray-failure demotion: while set, :meth:`drain` consumes
@@ -639,9 +659,9 @@ class RingReceiver:
     def consumed(self) -> int:
         """Slots consumed so far (delivered + damaged-and-skipped).
 
-        Compared against the sender's published count (via the notify
-        state) by parking pollers: sender ahead means a message is in
-        flight or ready, so parking would strand it until the watchdog.
+        Compared against :attr:`published` by parking pollers: sender
+        ahead means a message is in flight or ready, and no later publish
+        may come to wake a poller that parked on it.
         """
         return self._tail
 
@@ -744,6 +764,10 @@ class RingReceiver:
         :class:`SlotCorruptionError` — batch callers read the loss
         counters (and :attr:`last_drain_losses` for hole positions)
         instead.
+
+        A link that goes down partway through a batch loses nothing:
+        the slots consumed before it are returned, and the next poll
+        meets the dead link.
         """
         if self.retired:
             raise ChannelRetiredError(self.region.memsys.host_id)
@@ -755,6 +779,23 @@ class RingReceiver:
         if limit <= 0:
             return []
         out: list[bytes] = []
+        tail = self._tail
+        try:
+            yield from self._consume(out, losses, limit)
+        except LinkDownError:
+            if self._tail == tail:
+                raise
+            # The consumed slots have left the ring: hand them over.
+        # One coalesced progress publish per batch, at the legacy
+        # quarter-ring cadence (the per-slot probes flush their own
+        # boundaries inside try_recv).
+        if self._progress_dirty:
+            yield from self._flush_progress()
+        return out
+
+    def _consume(self, out: list, losses: list, limit: int):
+        """Process: :meth:`drain`'s pass over up to ``limit`` ready slots."""
+        n = self.layout.n_slots
         drained = 0
         if self.degraded:
             # Demoted: no streaming window reads over fail-slow media.
@@ -762,9 +803,7 @@ class RingReceiver:
                 if not (yield from self._drain_one(out, losses)):
                     break
                 drained += 1
-            if self._progress_dirty:
-                yield from self._flush_progress()
-            return out
+            return
         # Probe slot-at-a-time until two messages are in hand: the
         # common empty and one-deep wakeups cost what the legacy
         # single-slot poll costs (plus one miss probe to learn the
@@ -772,9 +811,7 @@ class RingReceiver:
         # window read.
         while drained < min(limit, 2):
             if not (yield from self._drain_one(out, losses)):
-                if self._progress_dirty:
-                    yield from self._flush_progress()
-                return out
+                return
             drained += 1
         while drained < limit:
             index = self._tail % n
@@ -831,12 +868,6 @@ class RingReceiver:
                     self._progress_dirty = True
             if stopped:
                 break
-        # One coalesced progress publish per batch, at the legacy
-        # quarter-ring cadence (the per-slot probes above flush their
-        # own boundaries inside try_recv).
-        if self._progress_dirty:
-            yield from self._flush_progress()
-        return out
 
     def _drain_one(self, out: list, losses: list) -> bool:
         """Process: consume one slot for :meth:`drain`.

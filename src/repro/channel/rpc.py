@@ -7,6 +7,15 @@ a background dispatcher demultiplexes replies by request id and feeds
 unsolicited messages to registered handlers — this is how the local host's
 pooling agent services forwarded MMIO operations (§4.1) and how agents
 talk to the orchestrator (§4.2).
+
+An idle dispatcher does not walk a poll grid: it parks on its receive
+ring's ``wake`` event, which the peer's next publish triggers (see
+:mod:`repro.channel.ring`).  It parks only when the sender's announced
+count shows nothing in flight, so a publish that committed while the
+dispatcher was awake is polled for at the base cadence until it lands.
+There is no timeout behind the park: the ring never misses a wake-up,
+and the ``parked_dispatcher_liveness`` auditor
+(:mod:`repro.scenarios.invariants`) checks that it does not.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from repro.channel.ring import (
     SlotCorruptionError,
 )
 from repro.cxl.link import LinkDownError
-from repro.cxl.params import LINK_RETRY_POLL_NS, PARK_WATCHDOG_NS, RECV_POLL_NS
+from repro.cxl.params import LINK_RETRY_POLL_NS, RECV_POLL_NS
 from repro.obs import names as _names
 from repro.obs import runtime as _obs
 from repro.obs.context import unwrap_trace, wrap_trace
@@ -79,16 +88,13 @@ class RpcEndpoint:
         self.poll_overhead_ns = poll_overhead_ns
         # How long the dispatcher sleeps after a poll hit a dead link.
         self.link_down_backoff_ns = link_down_backoff_ns
-        # Poll elision: the idle dispatcher parks on one watchdog timeout
-        # under the rx ring's notify key instead of walking a poll grid,
-        # and the peer's sender fires it early on publish.
+        # Poll elision: the idle dispatcher parks on the rx ring's wake
+        # event instead of walking a poll grid.
         self.empty_polls = 0
         self.parks = 0
-        self.notify_wakeups = 0
-        #: Empty-poll events *not* scheduled while parked, estimated
-        #: against the base poll cadence (what a busy-poll dispatcher
-        #: would have burned over the same idle span).
-        self.polls_elided = 0
+        self._polls_elided = 0
+        #: Sim time the dispatcher parked at; None while it is awake.
+        self._parked_at: float | None = None
         self._next_request_id = 1
         self._next_op_id = 1
         #: Administrative partition flag: outbound sends raise
@@ -443,15 +449,31 @@ class RpcEndpoint:
 
     # -- dispatcher -----------------------------------------------------------
 
+    @property
+    def polls_elided(self) -> int:
+        """Empty-poll events *not* scheduled while parked.
+
+        Estimated against the base poll cadence: what a busy-poll
+        dispatcher would have burned over the same idle spans, the park
+        in progress included (a dispatcher idle when the run stops never
+        wakes from its last park).
+        """
+        elided = self._polls_elided
+        if self._parked_at is not None:
+            elided += self._elided_since(self._parked_at)
+        return elided
+
+    def _elided_since(self, parked_at: float) -> int:
+        return max(0, int((self.sim.now - parked_at) / self.poll_overhead_ns)
+                   - 1)
+
     def _dispatch_loop(self):
         sim = self.sim
         base = self.poll_overhead_ns
-        # Event-driven wakeups: park on one watchdog timeout per idle
-        # span and let the peer's RingSender fire it early on publish
-        # (sim.notify), so an idle endpoint schedules zero empty-poll
-        # events.  The watchdog only bounds a wakeup the notify missed.
-        notify_key = self.rx.notify_key
-        notify_state = sim.notify_state
+        rx = self.rx
+        # Event-driven wakeups: an idle dispatcher parks on the ring's
+        # wake event and the peer's next publish triggers it, so an idle
+        # endpoint schedules no empty-poll events.
         try:
             while True:
                 try:
@@ -460,36 +482,27 @@ class RpcEndpoint:
                     # dispatcher; everything else already sitting in the
                     # ring is then batch-drained in one pass (streaming
                     # window reads instead of per-slot misses).
-                    first = yield from self.rx.try_recv()
+                    first = yield from rx.try_recv()
                     if first is None:
                         self.empty_polls += 1
-                        published = notify_state.get(notify_key)
-                        if (published is not None
-                                and published > self.rx.consumed):
+                        if rx.published > rx.consumed:
                             # A publish committed but its NT store has
-                            # not landed at the media yet (or the slot
-                            # was damaged mid-flight): keep base-rate
-                            # polling instead of parking, because the
-                            # notify already fired while we were awake.
+                            # not landed at the media yet (or was lost in
+                            # flight): keep base-rate polling instead of
+                            # parking, because that publish's wake-up
+                            # went by while we were awake.
                             yield sim.timeout(base)
                             continue
-                        parked_at = sim.now
-                        park = sim.timeout(PARK_WATCHDOG_NS)
-                        waiters = sim.notify_waiters.setdefault(
-                            notify_key, []
-                        )
-                        waiters.append(park)
+                        self._parked_at = sim.now
+                        park = rx.wake = sim.event("rpc-park")
                         self.parks += 1
                         try:
                             yield park
                         finally:
-                            if park in waiters:
-                                waiters.remove(park)
-                        if sim.now - parked_at < PARK_WATCHDOG_NS:
-                            self.notify_wakeups += 1
-                        self.polls_elided += max(
-                            0, int((sim.now - parked_at) / base) - 1
-                        )
+                            rx.wake = None
+                            self._polls_elided += self._elided_since(
+                                self._parked_at)
+                            self._parked_at = None
                         continue
                 except LinkDownError:
                     # The CXL path under the ring is flapping.  Keep the
@@ -510,9 +523,9 @@ class RpcEndpoint:
                 # here).
                 self._deliver(first)
                 try:
-                    lost_before = self.rx.lost_slots
-                    batch = yield from self.rx.drain()
-                    self.slot_corruptions += self.rx.lost_slots - lost_before
+                    lost_before = rx.lost_slots
+                    batch = yield from rx.drain()
+                    self.slot_corruptions += rx.lost_slots - lost_before
                 except LinkDownError:
                     self.link_errors += 1
                     yield self.sim.timeout(self.link_down_backoff_ns)

@@ -72,9 +72,6 @@ class ResourceVector:
         """The binding (largest) used/capacity ratio."""
         return max(self.utilization_of(capacity).values())
 
-    def as_dict(self) -> dict[str, float]:
-        return {d: getattr(self, d) for d in DIMENSIONS}
-
     def __repr__(self) -> str:
         return (
             f"RV(cores={self.cores:g}, mem={self.memory_gb:g}GB, "

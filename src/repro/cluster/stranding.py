@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.cluster.host import HostSpec
 from repro.cluster.resources import DIMENSIONS
 from repro.cluster.scheduler import Cluster
@@ -30,10 +28,6 @@ class StrandingReport:
 
     def __getitem__(self, dim: str) -> float:
         return self.stranded[dim]
-
-    def most_stranded(self) -> list[str]:
-        """Dimensions sorted most-stranded first."""
-        return sorted(self.stranded, key=self.stranded.get, reverse=True)
 
     def pretty(self) -> str:
         bars = "  ".join(
@@ -81,23 +75,3 @@ def run_pooled(catalog: VmCatalog, group_size: int, n_hosts: int = 64,
     cluster = PooledCluster(n_hosts, group_size, spec=spec)
     cluster.fill(VmStream(catalog, seed=seed))
     return measure_stranding(cluster)
-
-
-def sweep_pool_sizes(catalog: VmCatalog, sizes=(1, 2, 4, 8, 16),
-                     n_hosts: int = 64, seeds=(0, 1, 2)
-                     ) -> dict[int, dict[str, float]]:
-    """Mean stranding per dimension for each pool size (over seeds)."""
-    results: dict[int, dict[str, float]] = {}
-    for size in sizes:
-        per_seed = []
-        for seed in seeds:
-            if size == 1:
-                report = run_unpooled(catalog, n_hosts, seed)
-            else:
-                report = run_pooled(catalog, size, n_hosts, seed)
-            per_seed.append(report.stranded)
-        results[size] = {
-            d: float(np.mean([s[d] for s in per_seed]))
-            for d in DIMENSIONS
-        }
-    return results

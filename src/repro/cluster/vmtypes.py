@@ -52,13 +52,6 @@ class VmCatalog:
         idx = rng.choice(len(self.types), p=self._probabilities)
         return self.types[idx]
 
-    def expected_demand(self) -> ResourceVector:
-        """Probability-weighted mean demand vector."""
-        mean = ResourceVector()
-        for t, p in zip(self.types, self._probabilities, strict=True):
-            mean = mean + t.demand * float(p)
-        return mean
-
     def by_name(self, name: str) -> VmType:
         for t in self.types:
             if t.name == name:

@@ -47,7 +47,7 @@ from repro.orchestrator import (
 from repro.pcie.accelerator import Accelerator, AcceleratorSpec
 from repro.pcie.device import DeviceFailedError
 from repro.pcie.fabric import EthernetSwitch
-from repro.pcie.nic import Nic, NicSpec
+from repro.pcie.nic import NicSpec
 from repro.pcie.physnic import PhysicalNic
 from repro.pcie.ssd import Ssd, SsdSpec
 from repro.sim import Interrupt, Simulator
@@ -1076,10 +1076,6 @@ class PciePool:
     def gray_mhds(self) -> set:
         """MHD indices currently quarantined as fail-slow."""
         return set(self._mhd_gray)
-
-    @property
-    def mhd_health(self) -> HealthScorer:
-        return self._mhd_health
 
     def __repr__(self) -> str:
         return (

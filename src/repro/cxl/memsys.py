@@ -108,9 +108,6 @@ class HostMemorySystem:
             cache[addr] = entry
         return entry
 
-    def _link_for(self, addr: int):
-        return self._route_cached(addr)[3]
-
     def _medium_read_line(self, addr: int) -> bytes:
         if self._pool_base <= addr < self._pool_top:
             mhd, media, dev, _link = self._route_cached(addr)

@@ -89,12 +89,6 @@ RING_FULL_POLL_NS = 50.0
 #: paths — one knob, so recovery traffic stays mutually paced.
 LINK_RETRY_POLL_NS = 100_000.0
 
-#: Watchdog on a parked RPC dispatcher: the longest it sleeps if the
-#: sender's notify never reaches it.  It bounds added first-message
-#: latency on that fallback, so it must stay well under the smallest
-#: control-plane RPC timeout (lease renew, 2 ms).
-PARK_WATCHDOG_NS = 500_000.0
-
 
 # -- robustness knobs --------------------------------------------------------
 #

@@ -224,13 +224,6 @@ class FaultSchedule:
         """Faults by start time (stable for equal timestamps)."""
         return tuple(sorted(self.faults, key=lambda f: f.at_ns))
 
-    @property
-    def window_ns(self) -> float:
-        """Time of the last scheduled *start* (not counting repairs)."""
-        if not self.faults:
-            return 0.0
-        return max(f.at_ns for f in self.faults)
-
     def __len__(self) -> int:
         return len(self.faults)
 

@@ -109,8 +109,10 @@ class PoolingAgent:
         self.lease_renewals = 0
         self.lease_refusals = 0
         self.lease_losses = 0
-        #: Lease-renew RPC timeout: four park watchdogs, so a renewal
-        #: survives both dispatchers missing a notify.
+        #: Lease-renew RPC timeout: both attempts of a renewal (two
+        #: 2 ms timeouts plus one backoff) fit well inside the 30 ms
+        #: lease term (``LEASE_TTL_NS``), so a lost request or reply is
+        #: retried before the term runs out.
         self.renew_timeout_ns = 2_000_000.0
         endpoint.on(Resync, self._on_resync)
 
@@ -122,9 +124,6 @@ class PoolingAgent:
                 f"not {self.host_id}"
             )
         self._devices[device.device_id] = device
-
-    def unmanage(self, device_id: int) -> None:
-        self._devices.pop(device_id, None)
 
     # -- assignment adoption (borrower-side source of truth) ----------------
 
@@ -162,10 +161,6 @@ class PoolingAgent:
         self._leases.pop(device_id, None)
         for server in self._servers:
             server.revoke_lease(device_id)
-
-    def lease_for(self, device_id: int):
-        """(token, expires_at_ns) currently held, or None."""
-        return self._leases.get(device_id)
 
     def start(self) -> None:
         if self._loop is not None:

@@ -15,7 +15,7 @@ ids, host ids, assignments — while the mechanics of *using* an assignment
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.cxl.params import (
@@ -157,10 +157,6 @@ class Orchestrator:
         # New capacity may unblock assignments stranded by a failed
         # failover.
         self._retry_pending_repairs()
-
-    def deregister_device(self, device_id: int) -> None:
-        self._records.pop(device_id, None)
-        self.board.forget(device_id)
 
     @property
     def devices(self) -> list[DeviceRecord]:

@@ -94,9 +94,6 @@ class TelemetryBoard:
         self._devices[device_id] = telemetry
         return telemetry
 
-    def forget(self, device_id: int) -> None:
-        self._devices.pop(device_id, None)
-
     def get(self, device_id: int) -> Optional[DeviceTelemetry]:
         return self._devices.get(device_id)
 

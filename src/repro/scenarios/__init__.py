@@ -10,7 +10,8 @@
 * :mod:`~repro.scenarios.invariants` — always-on auditors asserted for
   every cell (exactly-once ops, zero lost assignments, zero undetected
   corruption, fencing safety, lease safety under quarantine, retry-
-  budget conservation, pacer-slot conservation).
+  budget conservation, pacer-slot conservation, parked-dispatcher
+  liveness).
 
 Checked-in runbooks live in ``runbooks/``; ``python -m repro scenario
 list|run`` is the CLI surface.

@@ -22,10 +22,13 @@ a heisenbug factory.
 Each auditor is mutation-tested (``tests/scenarios/test_invariants.py``):
 a seeded violation — counterfeit budget tokens, a double completion, a
 second unfenced lease holder, an unaccounted poison, a phantom pacer
-slot — must trip exactly the auditor that owns the property.
+slot, a silenced ring wake-up — must trip exactly the auditor that owns
+the property.
 """
 
 from __future__ import annotations
+
+from repro.channel.rpc import RpcEndpoint
 
 
 class InvariantAuditor:
@@ -299,13 +302,49 @@ class PacerSlotAuditor(InvariantAuditor):
         return self._check(ctx)
 
 
+class ParkedDispatcherLivenessAuditor(InvariantAuditor):
+    """Parked-dispatcher liveness: every publish wakes its poller.
+
+    An idle RPC dispatcher parks on its receive ring's ``wake`` event
+    with no timeout behind it, and only when the sender's announced
+    count shows nothing in flight.  Every later publish triggers the
+    event in the same step it raises the count, so a dispatcher still
+    parked (its wake pending) while ``published`` exceeds ``consumed``
+    has missed a wake-up: the message would sit unread until some later
+    publish on that ring.
+    """
+
+    name = "parked_dispatcher_liveness"
+
+    def _check(self, ctx) -> list:
+        violations = []
+        for _key, wired in sorted(ctx.pool._device_servers.items()):
+            for endpoint in wired:
+                if not isinstance(endpoint, RpcEndpoint):
+                    continue
+                rx = endpoint.rx
+                if (rx.wake is not None and not rx.wake.triggered
+                        and rx.published > rx.consumed):
+                    violations.append(self._v(
+                        f"{endpoint.name}: parked with "
+                        f"{rx.published - rx.consumed} published slot(s) "
+                        f"unread"))
+        return violations
+
+    def sample(self, ctx) -> list:
+        return self._check(ctx)
+
+    def finish(self, ctx) -> list:
+        return self._check(ctx)
+
+
 #: Registry: auditor name -> factory.  ``ScenarioSpec.invariants`` may
 #: name a subset; the default is all of them, always.
 AUDITORS = {
     cls.name: cls
     for cls in (ExactlyOnceAuditor, AssignmentAuditor, CorruptionAuditor,
                 FencingAuditor, QuarantineLeaseAuditor, RetryBudgetAuditor,
-                PacerSlotAuditor)
+                PacerSlotAuditor, ParkedDispatcherLivenessAuditor)
 }
 
 

@@ -34,7 +34,7 @@ from repro.sim.kernel import Simulator
 from repro.sim.process import Process
 from repro.sim.queues import FilterStore, Store
 from repro.sim.rand import RandomStreams
-from repro.sim.resources import Preempted, PriorityResource, Resource
+from repro.sim.resources import Resource
 
 __all__ = [
     "AllOf",
@@ -42,8 +42,6 @@ __all__ = [
     "Event",
     "FilterStore",
     "Interrupt",
-    "Preempted",
-    "PriorityResource",
     "Process",
     "RandomStreams",
     "Resource",

@@ -38,7 +38,6 @@ class Event:
 
     __slots__ = (
         "sim", "name", "callbacks", "_value", "_exception", "_defused",
-        "_sched_seq", "_sched_time",
     )
 
     def __init__(self, sim, name: str = ""):
@@ -51,10 +50,6 @@ class Event:
         # failures are re-raised at the end of the run so they never pass
         # silently.
         self._defused = False
-        # Queue bookkeeping written by Simulator.schedule: the live entry's
-        # sequence number and absolute time (used by fire_early tombstones).
-        self._sched_seq: Optional[int] = None
-        self._sched_time = 0.0
 
     # -- state ----------------------------------------------------------
 
@@ -107,13 +102,6 @@ class Event:
         self._value = None
         self.sim.schedule(self, delay=delay)
         return self
-
-    def trigger_from(self, other: "Event") -> None:
-        """Copy the outcome of an already-processed event onto this one."""
-        if other._exception is not None:
-            self.fail(other._exception)
-        else:
-            self.succeed(other._value)
 
     # -- waiting --------------------------------------------------------
 
@@ -179,8 +167,6 @@ class Timeout(Event):
         self._value = value
         self._exception = None
         self._defused = False
-        self._sched_seq = None
-        self._sched_time = 0.0
         self.delay = delay
         sim.schedule(self, delay=delay)
 

@@ -7,12 +7,12 @@ program that performs the same calls in the same order always produces the
 same trace.
 
 The queue is one ``heapq`` of ``(time, seq, event)`` entries, and
-:meth:`Simulator.schedule` is its only insertion point.  Cancellation is
-*lazy*: :meth:`Simulator.fire_early` tombstones the old entry's sequence
-number (an O(1) set insert) and schedules a fresh one instead of
-re-sorting the heap; stale entries are skipped when they reach the head.
-This is what lets a sender-side notify hook wake a parked poller without
-the kernel ever paying for the abandoned watchdog entry.
+:meth:`Simulator.schedule` is its only insertion point.  There is no
+cancellation: every entry pushed is popped and processed (a timeout that
+nobody waits on any more pops as a no-op).  A waiter that may be woken
+early (a parked RPC dispatcher, a parked pacer submitter) therefore
+waits on a plain pending :class:`~repro.sim.events.Event` that its
+waker triggers, not on a timeout that would have to be pulled forward.
 """
 
 from __future__ import annotations
@@ -44,9 +44,6 @@ class Simulator:
         self._now: float = 0.0
         self._seq = 0
         self._queue: list[tuple[float, int, Event]] = []
-        #: Sequence numbers of tombstoned (rescheduled) entries still in
-        #: ``_queue``.
-        self._stale: set[int] = set()
         self._active_process: Optional[Process] = None
         self._dead = False
         self.rng = RandomStreams(seed)
@@ -57,15 +54,6 @@ class Simulator:
         #: Cheap event counter (monotonic, survives profiler detach) so
         #: benchmarks can compute events/s without per-event timing.
         self.events_processed = 0
-        #: In-sim notify rendezvous: key -> list of parked Timeouts that a
-        #: publisher may fire early (see repro.channel poll elision).
-        self.notify_waiters: dict[Any, list[Event]] = {}
-        #: Last ``state`` published per notify key (e.g. a sender's
-        #: cumulative publish count).  A would-be parker compares it with
-        #: its own consumed count to close the commit-to-landing race: a
-        #: publish that has committed but not yet landed at the media
-        #: shows up here before it is pollable.
-        self.notify_state: dict[Any, Any] = {}
 
     # -- clock ----------------------------------------------------------
 
@@ -109,46 +97,17 @@ class Simulator:
             raise DeadSimulationError("simulator has been shut down")
         if delay < 0:
             raise SimError(f"cannot schedule in the past (delay={delay})")
-        t = self._now + delay
         seq = self._seq
         self._seq = seq + 1
-        event._sched_seq = seq
-        event._sched_time = t
-        heappush(self._queue, (t, seq, event))
-
-    def fire_early(self, event: Event, delay: float = 0.0) -> bool:
-        """Reschedule a queued event to ``now + delay`` if that is earlier.
-
-        The original queue entry is tombstoned (lazy O(1) cancel) and a
-        fresh entry pushed; relative order against other events follows
-        the *new* ``(time, seq)`` key.  Returns False without side effects
-        when the event is not queued, already processed, or already due
-        no later than the requested time.
-        """
-        if event.callbacks is None or event._sched_seq is None:
-            return False
-        t_new = self._now + delay
-        if event._sched_time <= t_new:
-            return False
-        self._stale.add(event._sched_seq)
-        self.schedule(event, delay)
-        return True
+        heappush(self._queue, (self._now + delay, seq, event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if queue is empty."""
-        return self._queue[0][0] if self._prepare_head() else _INF
-
-    def _prepare_head(self) -> bool:
-        """Pop tombstoned entries off the head; False if the queue is empty."""
-        queue = self._queue
-        stale = self._stale
-        while queue and stale and queue[0][1] in stale:
-            stale.discard(heappop(queue)[1])
-        return bool(queue)
+        return self._queue[0][0] if self._queue else _INF
 
     def step(self) -> None:
         """Process exactly one event (advancing the clock to it)."""
-        if not self._prepare_head():
+        if not self._queue:
             raise SimError("step() on an empty event queue")
         when, _seq, event = heappop(self._queue)
         self._now = when
@@ -209,9 +168,7 @@ class Simulator:
         pop = heappop
         count = 0
         try:
-            while self._prepare_head():
-                if queue[0][0] > horizon:
-                    break
+            while queue and queue[0][0] <= horizon:
                 when, _seq, event = pop(queue)
                 self._now = when
                 count += 1
@@ -235,37 +192,10 @@ class Simulator:
             raise event._exception
         raise StopSimulation(event)
 
-    def notify(self, key: Any, state: Any = None) -> int:
-        """Fire every parked waiter registered under ``key`` early.
-
-        The sender-side half of poll elision: publishers call this after
-        committing data so idle pollers waiting on a far-future watchdog
-        timeout wake now instead.  Returns the number of waiters woken.
-        Waiters register by appending a *scheduled* event to
-        ``notify_waiters[key]`` and must deregister themselves.
-
-        ``state`` (when not None) is stored in :attr:`notify_state` for
-        waiters that were awake when the notify fired: before parking
-        they compare it against their own progress and keep polling if
-        the publisher is ahead.
-        """
-        if state is not None:
-            self.notify_state[key] = state
-        waiters = self.notify_waiters.get(key)
-        if not waiters:
-            return 0
-        woken = 0
-        for ev in waiters:
-            if self.fire_early(ev):
-                woken += 1
-        return woken
-
     def shutdown(self) -> None:
         """Discard all pending events and reject further scheduling."""
         self._queue.clear()
-        self._stale.clear()
         self._dead = True
 
     def __repr__(self) -> str:
-        queued = len(self._queue) - len(self._stale)
-        return f"<Simulator t={self._now}ns queued={queued}>"
+        return f"<Simulator t={self._now}ns queued={len(self._queue)}>"

@@ -72,10 +72,6 @@ class Store:
     def __len__(self) -> int:
         return len(self.items)
 
-    @property
-    def is_full(self) -> bool:
-        return len(self.items) >= self.capacity
-
     def put(self, item: Any) -> StorePut:
         """Insert ``item``; the returned event fires once it is stored."""
         ev = StorePut(self, item)

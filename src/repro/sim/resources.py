@@ -4,16 +4,12 @@ A :class:`Resource` models anything with a fixed number of slots — a DMA
 engine with N channels, a link arbiter, an accelerator with one execution
 context.  Processes ``yield resource.request()`` to acquire a slot and call
 ``resource.release(req)`` (or use the request as a context manager) to give
-it back.
-
-:class:`PriorityResource` grants queued requests lowest-priority-value
-first (ties broken by arrival order), which the orchestrator uses to give
-control-plane traffic precedence over bulk transfers.
+it back.  Waiting requests are granted in arrival order.
 """
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from collections import deque
 
 from repro.sim.errors import SimError
 from repro.sim.events import Event
@@ -30,14 +26,13 @@ class Request(Event):
         # released automatically
     """
 
-    __slots__ = ("resource", "priority", "_released", "_withdrawn")
+    __slots__ = ("resource", "_released", "_withdrawn")
 
-    def __init__(self, resource: "Resource", priority: float = 0.0):
+    def __init__(self, resource: "Resource"):
         super().__init__(resource.sim, name=f"request:{resource.name}")
         self.resource = resource
-        self.priority = priority
         self._released = False
-        # Lazily-canceled (tombstoned) while still sitting in the heap.
+        # Lazily canceled (tombstoned) while still sitting in the queue.
         self._withdrawn = False
 
     def __enter__(self) -> "Request":
@@ -51,14 +46,6 @@ class Request(Event):
         self.resource._cancel(self)
 
 
-class Preempted(SimError):
-    """Cause attached to interrupts raised by preemptive acquisition."""
-
-    def __init__(self, by: Request):
-        super().__init__(f"preempted by {by!r}")
-        self.by = by
-
-
 class Resource:
     """A resource with ``capacity`` identical slots, FIFO grant order."""
 
@@ -69,9 +56,8 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._users: list[Request] = []
-        self._heap: list[tuple[float, int, Request]] = []
-        self._seq = 0
-        # Withdrawn requests still occupying heap entries (lazy cancel).
+        self._waiting: deque[Request] = deque()
+        # Withdrawn requests still occupying queue entries (lazy cancel).
         self._tombstones = 0
 
     # -- public API -----------------------------------------------------
@@ -85,15 +71,14 @@ class Resource:
     def queued(self) -> int:
         """Number of requests waiting for a slot."""
         return sum(
-            1 for _, _, r in self._heap
+            1 for r in self._waiting
             if not r.triggered and not r._withdrawn
         )
 
-    def request(self, priority: float = 0.0) -> Request:
+    def request(self) -> Request:
         """Ask for one slot; the returned event fires when granted."""
-        req = Request(self, priority=self._key(priority))
-        heappush(self._heap, (req.priority, self._seq, req))
-        self._seq += 1
+        req = Request(self)
+        self._waiting.append(req)
         self._grant()
         return req
 
@@ -113,17 +98,13 @@ class Resource:
 
     # -- internals ------------------------------------------------------
 
-    def _key(self, priority: float) -> float:
-        return priority
-
     def _cancel(self, request: Request) -> None:
         """Withdraw a queued request via a lazy tombstone.
 
-        Cancellation is O(1): the heap entry stays put, flagged, and is
+        Cancellation is O(1): the queue entry stays put, flagged, and is
         discarded when :meth:`_grant` pops it.  Heavy hedge/budget-denial
-        churn (PR 7) cancels far more requests than it grants, so the old
-        filter-and-``heapify`` rebuild was O(n) per withdrawal; now a
-        compaction runs only when tombstones outnumber live entries.
+        churn cancels far more requests than it grants, so a compaction
+        runs only when tombstones outnumber live entries.
         """
         if request.triggered:
             raise SimError("cannot cancel a granted request; release it")
@@ -131,16 +112,15 @@ class Resource:
             return
         request._withdrawn = True
         self._tombstones += 1
-        if self._tombstones > 64 and self._tombstones * 2 > len(self._heap):
-            self._heap = [
-                entry for entry in self._heap if not entry[2]._withdrawn
-            ]
-            heapify(self._heap)
+        if self._tombstones > 64 and self._tombstones * 2 > len(self._waiting):
+            self._waiting = deque(
+                r for r in self._waiting if not r._withdrawn
+            )
             self._tombstones = 0
 
     def _grant(self) -> None:
-        while self._heap and len(self._users) < self.capacity:
-            _p, _s, req = heappop(self._heap)
+        while self._waiting and len(self._users) < self.capacity:
+            req = self._waiting.popleft()
             if req._withdrawn:
                 self._tombstones -= 1
                 continue
@@ -154,11 +134,3 @@ class Resource:
             f"<Resource {self.name!r} {self.count}/{self.capacity}"
             f" queued={self.queued}>"
         )
-
-
-class PriorityResource(Resource):
-    """A :class:`Resource` whose queue is ordered by request priority.
-
-    Lower ``priority`` values are granted first; equal priorities keep FIFO
-    order via the internal sequence counter.
-    """

@@ -6,12 +6,15 @@ batch) but must not change the wire format or weaken the per-slot
 CRC/poison containment the RAS layer relies on.
 """
 
+import pytest
+
 from repro.channel.ring import (
     CACHELINE_BYTES,
     SLOT_PAYLOAD_BYTES,
     RingChannel,
     RingLayout,
 )
+from repro.cxl.link import LinkDownError
 from repro.cxl.pod import CxlPod, PodConfig
 from repro.sim import Simulator
 
@@ -114,6 +117,43 @@ def test_drain_contains_poisoned_slot_mid_batch():
     assert p.value == [b"p0", b"p1", b"p2", b"p4", b"p5"]
     assert ring.receiver.poison_hits == 1
     assert ring.receiver.lost_slots == 1
+
+
+def test_drain_keeps_slots_consumed_before_a_link_failure(monkeypatch):
+    """The receiver's link dies between a batch's probe reads and its
+    window read: drain returns the slots it already consumed, the next
+    drain meets the dead link, and once the link is back the rest of
+    the batch follows in order."""
+    sim, pod, ring = make_ring(n_slots=8)
+    messages = [f"l{i}".encode() for i in range(6)]
+    rx = ring.receiver
+    link = pod.host("h1").port.links[0]
+    window_read = rx.region.consume_uncached_bulk
+
+    def link_dies_first(*args):
+        if link.up and not link_dies_first.done:
+            link_dies_first.done = True
+            link.fail()
+        return (yield from window_read(*args))
+
+    link_dies_first.done = False
+    monkeypatch.setattr(rx.region, "consume_uncached_bulk", link_dies_first)
+
+    def proc(sim):
+        yield from ring.sender.send_burst(messages)
+        yield sim.timeout(1_000.0)       # let the NT stores commit
+        first = yield from rx.drain()
+        with pytest.raises(LinkDownError):
+            yield from rx.drain()
+        link.restore()
+        rest = yield from rx.drain()
+        return first, rest
+
+    p = sim.spawn(proc(sim))
+    sim.run(until=p)
+    sim.run()
+    assert p.value == (messages[:2], messages[2:])
+    assert rx.lost_slots == 0
 
 
 def test_burst_of_one_is_bit_identical_and_time_identical():

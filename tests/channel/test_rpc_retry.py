@@ -211,21 +211,29 @@ def test_recycled_request_id_cannot_match_stale_reply():
 
 
 def test_dispatcher_survives_link_flap():
-    """A flapping CXL link must not kill the dispatcher process."""
+    """A flapping CXL link must not kill the dispatcher process: woken
+    by a publish while its own link is down, it backs off and re-polls
+    until the link returns, then delivers."""
     sim, pod, client, server = make_pair()
     seen = []
-    client.on(Completion, lambda m: seen.append(m.status))
+    client.on(Completion, lambda m: seen.append((sim.now, m.status)))
     link = pod.host("h0").port.links[0]
 
     def scenario():
         link.fail()
-        yield sim.timeout(1_000_000.0)  # dispatcher polls against a dead link
-        link.restore()
+        yield sim.timeout(100_000.0)
+        # The server's own link is up: its publish lands and wakes the
+        # client's parked dispatcher, whose poll meets the dead link.
         yield from server.send(Completion(request_id=0, status=7))
         yield sim.timeout(1_000_000.0)
+        restored_at = sim.now
+        link.restore()
+        yield sim.timeout(1_000_000.0)
+        return restored_at
 
     p = sim.spawn(scenario())
     sim.run(until=p)
     assert client.link_errors > 0
-    assert seen == [7]
+    assert [status for _t, status in seen] == [7]
+    assert seen[0][0] > p.value
     finish(sim, client, server)

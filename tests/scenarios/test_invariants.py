@@ -6,6 +6,7 @@ that property reports a violation.  An auditor that stays green under
 its own mutation is a tautology, not a safety net.
 """
 
+from repro.channel.rpc import RpcEndpoint
 from repro.scenarios import build_auditors, run_cell
 from repro.scenarios.invariants import AUDITORS
 from repro.scenarios.schema import Cell, merge, scenario_from_dict
@@ -162,6 +163,29 @@ def test_pacer_slot_conservation_trips_on_a_disarmed_parked_waiter():
     assert all("lost wakeup" in v for v in result.violations)
 
 
+def announce_without_wake(sender):
+    """Make ``sender``'s next publish record its count on the receiver
+    but not trigger the receiver's wake event."""
+    def announce():
+        sender.peer.published = sender.sent
+        del sender._announce             # later publishes wake again
+    sender._announce = announce
+
+
+def test_parked_dispatcher_liveness_trips_on_a_silenced_wake():
+    def silence_next_wakes(ctx):
+        for wired in ctx.pool._device_servers.values():
+            for endpoint in wired:
+                if isinstance(endpoint, RpcEndpoint):
+                    announce_without_wake(endpoint.tx)
+
+    result = run_sabotaged(silence_next_wakes)
+    assert not result.ok
+    assert tripped(result) == {"parked_dispatcher_liveness"}
+    assert all("unread" in v for v in result.violations)
+    assert not result.expect_failures and not result.error
+
+
 # -- registry ---------------------------------------------------------------
 
 
@@ -169,7 +193,8 @@ def test_registry_covers_the_issue_invariants():
     assert set(AUDITORS) == {
         "exactly_once", "no_lost_assignments", "no_undetected_corruption",
         "fencing_safety", "lease_safety_under_quarantine",
-        "retry_budget_conservation", "pacer_slot_conservation"}
+        "retry_budget_conservation", "pacer_slot_conservation",
+        "parked_dispatcher_liveness"}
 
 
 def test_build_auditors_defaults_to_all():

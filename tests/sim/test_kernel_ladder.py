@@ -1,17 +1,17 @@
 """Kernel pop order against a plain sorted reference.
 
-The kernel keeps one ``(time, seq, event)`` heap with lazy
-``fire_early`` tombstones.  Its contract is the pop order: by time, ties
-broken by schedule order, and a rescheduled event ordered by its *new*
-``(time, seq)`` key.  Every downstream artifact (fault-log signature,
-audit verdicts, summary counters) rests on that order.
+The kernel keeps one ``(time, seq, event)`` heap and no cancellation.
+Its contract is the pop order: by time, ties broken by schedule order,
+and an event triggered while it waits (a parked poller's wake) ordered
+by the ``(now + delay, seq)`` key it gets when triggered.  Every downstream
+artifact (fault-log signature, audit verdicts, summary counters) rests
+on that order.
 
-The reference checks the contract without a heap or tombstones: it
-keeps the live entries in a list, pops the smallest ``(time, seq)``
-each step, and re-appends a rescheduled entry under a fresh sequence
-number.  Hypothesis drives both through same-instant ties, far-future
-delays and ``fire_early`` reschedules, and requires identical pop
-traces.
+The reference checks the contract without a heap: it keeps the live
+entries in a list, pops the smallest ``(time, seq)`` each step, and
+appends a woken entry under a fresh sequence number.  Hypothesis drives
+both through same-instant ties, far-future delays and wake-ups of
+pending events, and requires identical pop traces.
 """
 
 from hypothesis import given, settings
@@ -23,33 +23,40 @@ from repro.sim import Simulator
 SPAN_NS = 32_768.0
 
 
-def kernel_trace(delays, reschedules=()):
+def kernel_trace(delays, wakes=()):
     """(time, label) pop order of one timeout per delay, plus one driver
-    timeout per ``(pick, at, early)`` that fires timeout ``pick`` early
-    to ``now + early`` when it pops at time ``at``."""
+    timeout per ``(pick, at, delay)`` that, when it pops at time ``at``,
+    triggers pending event ``pick`` to fire ``delay`` later unless an
+    earlier driver already has."""
     sim = Simulator(seed=4)
     trace = []
-    timeouts = []
 
     def record(label):
         return lambda _event: trace.append((sim.now, label))
 
     for idx, delay in enumerate(delays):
-        timeout = sim.timeout(delay)
-        timeout.add_callback(record(idx))
-        timeouts.append(timeout)
-    for j, (pick, at, early) in enumerate(reschedules):
-        target = timeouts[pick % len(timeouts)]
+        sim.timeout(delay).add_callback(record(idx))
+    pending = []
+    for idx in range(len(wakes)):
+        event = sim.event()
+        event.add_callback(record(f"wake{idx}"))
+        pending.append(event)
+
+    def trigger(target, delay):
+        if not target.triggered:
+            target.succeed(delay=delay)
+
+    for j, (pick, at, delay) in enumerate(wakes):
         driver = sim.timeout(at)
         driver.add_callback(record(f"driver{j}"))
         driver.add_callback(
-            lambda _event, target=target, early=early:
-                sim.fire_early(target, early))
+            lambda _event, target=pending[pick % len(pending)], delay=delay:
+                trigger(target, delay))
     sim.run()
     return trace
 
 
-def reference_trace(delays, reschedules=()):
+def reference_trace(delays, wakes=()):
     """The same schedule replayed on a sorted list of live entries."""
     live = []
     seq = 0
@@ -61,22 +68,19 @@ def reference_trace(delays, reschedules=()):
 
     for idx, delay in enumerate(delays):
         push(delay, idx)
-    for j, (pick, at, early) in enumerate(reschedules):
-        push(at, f"driver{j}", (pick % len(delays), early))
+    for j, (pick, at, delay) in enumerate(wakes):
+        push(at, f"driver{j}", (pick % len(wakes), delay))
+    woken = set()
     trace = []
     while live:
         entry = min(live, key=lambda e: (e[0], e[1]))
         live.remove(entry)
         now, _seq, label, action = entry
         trace.append((now, label))
-        if action is None:
-            continue
-        target, early = action
-        for queued in live:
-            if queued[2] == target and queued[0] > now + early:
-                live.remove(queued)
-                push(now + early, target)
-                break
+        if action is not None and action[0] not in woken:
+            target, delay = action
+            woken.add(target)
+            push(now + delay, f"wake{target}")
     return trace
 
 
@@ -99,18 +103,18 @@ def test_property_pop_order_matches_sorted_reference(delays):
 @settings(max_examples=25, deadline=None)
 @given(
     delays=st.lists(st.floats(min_value=0.0, max_value=4.0 * SPAN_NS),
-                    min_size=2, max_size=12),
-    reschedules=st.lists(
+                    min_size=1, max_size=12),
+    wakes=st.lists(
         st.tuples(st.integers(min_value=0, max_value=11),
                   st.floats(min_value=0.0, max_value=SPAN_NS),
                   st.sampled_from([0.0, 0.0, 64.0, 4096.0])),
         min_size=1, max_size=6),
 )
-def test_property_fire_early_matches_sorted_reference(delays, reschedules):
-    """Tombstoned-and-rescheduled entries pop in the reference's order:
-    fire_early is the parked-dispatcher wakeup path."""
-    assert (kernel_trace(delays, reschedules)
-            == reference_trace(delays, reschedules))
+def test_property_woken_events_match_sorted_reference(delays, wakes):
+    """Events woken by another event's callback pop in the reference's
+    order: a parked dispatcher is woken at once, a parked pacer
+    submitter at its next grid point."""
+    assert kernel_trace(delays, wakes) == reference_trace(delays, wakes)
 
 
 def test_same_instant_ties_pop_in_schedule_order():

@@ -1,8 +1,8 @@
-"""Unit tests for Resource / PriorityResource."""
+"""Unit tests for Resource."""
 
 import pytest
 
-from repro.sim import PriorityResource, Resource, SimError, Simulator
+from repro.sim import Resource, SimError, Simulator
 
 
 def test_resource_grants_up_to_capacity():
@@ -68,30 +68,6 @@ def test_fifo_order_within_equal_priority():
         sim.spawn(worker(sim, res, tag))
     sim.run()
     assert order == [0, 1, 2, 3, 4]
-
-
-def test_priority_resource_grants_lowest_priority_first():
-    sim = Simulator()
-    res = PriorityResource(sim, capacity=1)
-    order = []
-
-    def holder(sim, res):
-        with res.request() as req:
-            yield req
-            yield sim.timeout(50.0)
-
-    def worker(sim, res, tag, prio):
-        yield sim.timeout(1.0)  # arrive while the holder owns the slot
-        with res.request(priority=prio) as req:
-            yield req
-            order.append(tag)
-            yield sim.timeout(10.0)
-
-    sim.spawn(holder(sim, res))
-    sim.spawn(worker(sim, res, "bulk", prio=10))
-    sim.spawn(worker(sim, res, "control", prio=0))
-    sim.run()
-    assert order == ["control", "bulk"]
 
 
 def test_release_unheld_request_rejected():
