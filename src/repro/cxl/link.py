@@ -6,9 +6,15 @@ physical layer.  Two access classes are modeled:
 * **line ops** (64 B loads / NT stores from a CPU) — pay the load-to-use
   or store-visibility latency; their serialization time is negligible but
   is still accounted against the link's byte counters.
-* **bulk transfers** (DMA) — pay serialization (``size / bandwidth``) on a
-  FIFO link arbiter plus one propagation latency, so concurrent transfers
-  queue behind each other exactly like a loaded link.
+* **bulk transfers** (DMA) — book one share per link on the link's FIFO
+  of shares (:meth:`CxlLink.book`).  The head share is on the wire for
+  ``size / bandwidth``, the bandwidth read when the share is granted (a
+  degrade window changes it), and the transfer completes one propagation
+  latency after its last share leaves the wire, so concurrent transfers
+  queue behind each other exactly like a loaded link.  The link is
+  checked when a share is booked, when it is granted and when it leaves
+  the wire: a share that meets a down link fails there, and a flap that
+  ends before the share leaves the wire goes unseen.
 
 Links can be administratively or faultily taken down; accesses over a dead
 link raise :class:`LinkDownError`, which the failover machinery observes.
@@ -16,10 +22,11 @@ link raise :class:`LinkDownError`, which the failover machinery observes.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from repro.cxl.params import DEFAULT_BANDWIDTH, DEFAULT_TIMINGS, CxlTimings
-from repro.sim import Resource, Simulator
+from repro.sim import Event, Simulator, Timeout
 from repro.sim.errors import SimError
 
 
@@ -47,6 +54,35 @@ class LinkSpec:
         return DEFAULT_BANDWIDTH.for_width(self.lanes)
 
 
+class DmaCompletion:
+    """One DMA's completion over the link shares its span is split into.
+
+    ``event`` (named ``dma``) fails with the first failed share's
+    :class:`LinkDownError`, and later failures are absorbed.  Otherwise
+    it succeeds one propagation latency (``prop``) after the last share
+    leaves the wire.
+    """
+
+    __slots__ = ("event", "shares", "prop")
+
+    def __init__(self, sim: Simulator, shares: int, timings: CxlTimings,
+                 write: bool):
+        self.event = Event(sim, name="dma")
+        self.shares = shares
+        # Writes are posted (store-visibility latency); reads pay the
+        # full load-to-use round trip.
+        self.prop = timings.cxl_store_ns if write else timings.cxl_load_ns
+
+    def _share_done(self) -> None:
+        self.shares -= 1
+        if not self.shares and not self.event.triggered:
+            self.event.succeed(delay=self.prop)
+
+    def _share_failed(self, link: "CxlLink") -> None:
+        if not self.event.triggered:
+            self.event.fail(LinkDownError(link))
+
+
 class CxlLink:
     """One host-port ↔ device-port CXL link."""
 
@@ -61,7 +97,9 @@ class CxlLink:
         self.bandwidth = spec.resolved_bandwidth()
         #: Healthy bandwidth, restored after a degrade window ends.
         self.nominal_bandwidth = self.bandwidth
-        self._arbiter = Resource(sim, capacity=1, name=f"{name}.arbiter")
+        #: Booked DMA shares ``(completion, size, write)`` in FIFO order;
+        #: the head share is on the wire.
+        self._shares: deque = deque()
         self.up = True
         # Telemetry.
         self.bytes_read = 0
@@ -191,32 +229,55 @@ class CxlLink:
 
     # -- bulk transfers ----------------------------------------------------
 
-    def transfer(self, size: int, write: bool):
-        """Process: move ``size`` bytes over the link (DMA semantics).
+    def book(self, done: DmaCompletion, size: int, write: bool) -> None:
+        """Queue a ``size``-byte share of DMA ``done`` behind earlier ones.
 
-        Yields until the transfer completes.  Serialization time queues
-        FIFO behind other bulk transfers; propagation latency is added
-        once at the end.
+        A share booked on a down link fails ``done`` at once.
         """
         if size <= 0:
             raise ValueError(f"transfer size must be positive, got {size}")
-        self._check_up()
-        with self._arbiter.request() as req:
-            yield req
-            self._check_up()
-            serialize_ns = size / self.bandwidth
-            yield self.sim.timeout(serialize_ns)
-        self._check_up()
-        # Propagation: writes are posted (store-visibility latency); reads
-        # pay the full load-to-use round trip.
-        prop = (self.timings.cxl_store_ns if write
-                else self.timings.cxl_load_ns)
-        yield self.sim.timeout(prop)
-        self.bulk_ops += 1
-        if write:
-            self.bytes_written += size
+        if not self.up:
+            done._share_failed(self)
+            return
+        shares = self._shares
+        shares.append((done, size, write))
+        if len(shares) == 1:
+            self._grant()
+
+    def transfer(self, size: int, write: bool):
+        """Process: move ``size`` bytes over the link (DMA semantics).
+
+        Books one share and yields until it completes.  Serialization
+        queues FIFO behind other bulk transfers; propagation latency is
+        added once at the end.
+        """
+        done = DmaCompletion(self.sim, 1, self.timings, write)
+        self.book(done, size, write)
+        yield done.event
+
+    def _grant(self) -> None:
+        """Put the head share on the wire; a down link fails it instead."""
+        shares = self._shares
+        while shares:
+            if self.up:
+                wire = Timeout(self.sim, shares[0][1] / self.bandwidth,
+                               name="dma-wire")
+                wire.callbacks.append(self._off_wire)
+                return
+            shares.popleft()[0]._share_failed(self)
+
+    def _off_wire(self, _wire: Timeout) -> None:
+        done, size, write = self._shares.popleft()
+        if self.up:
+            self.bulk_ops += 1
+            if write:
+                self.bytes_written += size
+            else:
+                self.bytes_read += size
+            done._share_done()
         else:
-            self.bytes_read += size
+            done._share_failed(self)
+        self._grant()
 
     # -- telemetry ---------------------------------------------------------
 

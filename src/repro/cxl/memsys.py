@@ -25,9 +25,9 @@ from typing import TYPE_CHECKING
 from repro.cxl.address import CACHELINE_BYTES, line_range
 from repro.cxl.cache import CpuCache
 from repro.cxl.device import PoisonedMemoryError
-from repro.cxl.link import LinkDownError
+from repro.cxl.link import DmaCompletion, LinkDownError
 from repro.cxl.mhd import MhdFailedError
-from repro.sim import AllOf, Timeout
+from repro.sim import Timeout
 
 _ZERO_LINE = bytes(CACHELINE_BYTES)
 
@@ -210,34 +210,45 @@ class HostMemorySystem:
 
     def _commit_nt(self, addr: int, data: bytes) -> None:
         """Enter ``data`` into the store buffer and schedule visibility."""
+        delay, line = self._buffer_nt(addr, data)
+        self._post_lines(delay, (line,), "nt-drain")
+
+    def _buffer_nt(self, addr: int, data: bytes) -> tuple[float, tuple]:
+        """Draw an NT store's latency, then enter it in the store buffer.
+
+        Returns the delay and the ``(addr, data, wid)`` line to post.  The
+        draw comes first: a store to a down link raises before it leaves
+        a store-buffer entry that no landing would ever retire.
+        """
+        delay = self._store_latency(addr)
         self._store_wid += 1
         wid = self._store_wid
         self._store_buffer[addr] = (wid, data)
-        self._post_line(addr, data, self._store_latency(addr), "nt-drain", wid)
+        return delay, (addr, data, wid)
 
-    def _post_line(self, addr: int, data: bytes, delay: float, name: str,
-                   wid: int | None = None) -> None:
-        """Land a posted line at its device ``delay`` ns from now.
+    def _post_lines(self, delay: float, lines, name: str) -> None:
+        """Land posted ``(addr, data, wid)`` lines ``delay`` ns from now.
 
-        One kernel event, no process: an NT store (``wid`` names its
+        One kernel event, no process, for lines that land at the same
+        instant, in order: NT stores (``wid`` names the line's
         store-buffer entry) or a dirty-eviction writeback (``wid`` None).
         """
-        landing = Timeout(self.sim, delay, value=(addr, data, wid),
-                          name=name)
-        landing.callbacks.append(self._land_line)
+        landing = Timeout(self.sim, delay, value=lines, name=name)
+        landing.callbacks.append(self._land_lines)
 
-    def _land_line(self, landing: Timeout) -> None:
-        addr, data, wid = landing.value
-        try:
-            self._medium_write_line(addr, data)
-        except LinkDownError:
-            # Posted write to a device that died in flight: the write is
-            # lost (counted), never silently half-applied.
-            self.stores_dropped += 1
-        if wid is not None:
-            entry = self._store_buffer.get(addr)
-            if entry is not None and entry[0] == wid:
-                del self._store_buffer[addr]
+    def _land_lines(self, landing: Timeout) -> None:
+        buffer = self._store_buffer
+        for addr, data, wid in landing.value:
+            try:
+                self._medium_write_line(addr, data)
+            except LinkDownError:
+                # Posted write to a device that died in flight: the write
+                # is lost (counted), never silently half-applied.
+                self.stores_dropped += 1
+            if wid is not None:
+                entry = buffer.get(addr)
+                if entry is not None and entry[0] == wid:
+                    del buffer[addr]
 
     # -- convenience span operations (CPU, cached) -------------------------------
 
@@ -325,7 +336,10 @@ class HostMemorySystem:
         """Process: streaming store of an arbitrary span (memcpy).
 
         Pays one issue cost plus bandwidth-bound streaming time, then
-        commits every line atomically in a single resume.  This is how
+        commits every line atomically in a single resume.  With
+        ``nt=True`` each line draws its store latency and enters the
+        store buffer in order, and the lines that land at the same
+        instant land together, in that order, in one event.  This is how
         payload buffers are filled; per-line :meth:`write_span` is for
         small control structures.
         """
@@ -335,22 +349,38 @@ class HostMemorySystem:
         yield self.sim.timeout(
             self.timings.cpu_issue_ns + self._stream_time(addr, size)
         )
-        pos = 0
-        for base in line_range(addr, size):
-            off = max(addr - base, 0)
-            take = min(CACHELINE_BYTES - off, size - pos)
-            if off == 0 and take == CACHELINE_BYTES:
-                line = data[pos:pos + take]
-            else:
-                current = self._peek_line(base)
-                line = (current[:off] + data[pos:pos + take]
-                        + current[off + take:])
-            if nt:
-                self.cache.drop_clean(base)
-                self._commit_nt(base, bytes(line))
-            else:
-                self._handle_evictions(self.cache.write(base, line))
-            pos += take
+        now = self.sim.now
+        # Landing instant -> (delay, lines).  Keyed on the instant, not
+        # the delay: two delays can round to one instant.
+        landings: dict[float, tuple[float, list]] = {}
+        try:
+            pos = 0
+            for base in line_range(addr, size):
+                off = max(addr - base, 0)
+                take = min(CACHELINE_BYTES - off, size - pos)
+                if off == 0 and take == CACHELINE_BYTES:
+                    line = data[pos:pos + take]
+                else:
+                    current = self._peek_line(base)
+                    line = (current[:off] + data[pos:pos + take]
+                            + current[off + take:])
+                if nt:
+                    self.cache.drop_clean(base)
+                    delay, posted = self._buffer_nt(base, bytes(line))
+                    at = now + delay
+                    group = landings.get(at)
+                    if group is None:
+                        landings[at] = (delay, [posted])
+                    else:
+                        group[1].append(posted)
+                else:
+                    self._handle_evictions(self.cache.write(base, line))
+                pos += take
+        finally:
+            # A down link raises mid-payload: the lines committed before
+            # it still land.
+            for delay, lines in landings.values():
+                self._post_lines(delay, lines, "nt-drain")
 
     def read_bulk(self, addr: int, size: int, uncached: bool = False):
         """Process: streaming load of an arbitrary span (memcpy).
@@ -434,17 +464,14 @@ class HostMemorySystem:
                         else self.timings.ddr5_load_ns)
             yield self.sim.timeout(serialize + base_lat)
             return
-        # Pool: split across links per the interleave map, in parallel.
+        # Pool: one share per link per the interleave map, in parallel.
         offset = self.pod.pool_range.offset_of(addr)
         per_link = self.pod.span_bytes_per_link(offset, size)
-        transfers = [
-            self.sim.spawn(
-                self.port.links[link_idx].transfer(nbytes, write=write),
-                name=f"dma:{self.host_id}:link{link_idx}",
-            )
-            for link_idx, nbytes in sorted(per_link.items())
-        ]
-        yield AllOf(self.sim, transfers)
+        done = DmaCompletion(self.sim, len(per_link), self.timings, write)
+        links = self.port.links
+        for link_idx, nbytes in sorted(per_link.items()):
+            links[link_idx].book(done, nbytes, write)
+        yield done.event
 
     # -- internals ---------------------------------------------------------------
 
@@ -469,7 +496,7 @@ class HostMemorySystem:
                 # that triggered the eviction.
                 self.stores_dropped += 1
                 continue
-            self._post_line(addr, data, delay, "evict-wb")
+            self._post_lines(delay, ((addr, data, None),), "evict-wb")
 
     def __repr__(self) -> str:
         return f"<HostMemorySystem {self.host_id}>"
