@@ -11,6 +11,10 @@ hands out silently-corrupt bytes, matching CXL's poison-on-read
 semantics.  Any full or partial write to a poisoned line scrubs it
 (overwrite-to-clear), and every transition is counted so RAS soaks can
 prove the accounting identity ``injected == scrubbed + resident``.
+
+A parked poller can watch a line (:meth:`MemoryMedium.watch_line`)
+instead of re-reading it: the watch fires once, at the line's next
+write, clear or poison.
 """
 
 from __future__ import annotations
@@ -50,6 +54,30 @@ class MemoryMedium:
         self.poisons_injected = 0
         self.poison_reads = 0
         self.poisons_scrubbed = 0
+        #: One-shot watches: line base -> callbacks run at the line's next
+        #: write, clear or poison (see :meth:`watch_line`).
+        self._watchers: dict[int, list] = {}
+
+    # -- watches ----------------------------------------------------------
+
+    def watch_line(self, addr: int, fn) -> None:
+        """Run ``fn()`` once, at the next write, clear or poison of the
+        line at ``addr`` (line-aligned), in the step that makes it."""
+        self._watchers.setdefault(addr, []).append(fn)
+
+    def unwatch_line(self, addr: int, fn) -> None:
+        """Withdraw a watch that has not fired (no-op if it has)."""
+        fns = self._watchers.get(addr)
+        if fns is not None and fn in fns:
+            fns.remove(fn)
+            if not fns:
+                del self._watchers[addr]
+
+    def _changed(self, base: int) -> None:
+        fns = self._watchers.pop(base, None)
+        if fns is not None:
+            for fn in fns:
+                fn()
 
     # -- RAS: poison ------------------------------------------------------
 
@@ -60,6 +88,8 @@ class MemoryMedium:
         if base not in self.poisoned_lines:
             self.poisoned_lines.add(base)
             self.poisons_injected += 1
+        if self._watchers:
+            self._changed(base)
 
     def _scrub(self, base: int) -> None:
         """A write to a poisoned line clears the poison (overwrite-to-clear)."""
@@ -94,6 +124,13 @@ class MemoryMedium:
             self._check_poison(addr)
         return self._lines.get(addr, _ZERO_LINE)
 
+    def peek_line(self, addr: int) -> bytes | None:
+        """The line at ``addr`` (line-aligned) with no side effect and
+        no counter moved; None where :meth:`read_line` would raise."""
+        if addr in self.poisoned_lines:
+            return None
+        return self._lines.get(addr, _ZERO_LINE)
+
     def clear_line(self, addr: int) -> None:
         """Zero the 64 B cacheline at ``addr`` (must be line-aligned).
 
@@ -103,10 +140,18 @@ class MemoryMedium:
         ring slots in reused channel memory would otherwise decode as
         fresh messages.
         """
-        self._require_aligned(addr)
-        self._check(addr)
-        self._scrub(addr)
+        # Hot path (every line of every allocation is scrubbed): one
+        # arithmetic guard, as in read_line, and the poison set and the
+        # watches are only probed when they are non-empty.
+        if addr % CACHELINE_BYTES or addr < 0 \
+                or addr + CACHELINE_BYTES > self.capacity:
+            self._require_aligned(addr)
+            self._check(addr)
+        if self.poisoned_lines:
+            self._scrub(addr)
         self._lines.pop(addr, None)
+        if self._watchers:
+            self._changed(addr)
 
     def write_line(self, addr: int, data: bytes) -> None:
         """Write a full 64 B cacheline at ``addr``."""
@@ -121,6 +166,8 @@ class MemoryMedium:
         if self.poisoned_lines:
             self._scrub(addr)
         self._lines[addr] = bytes(data)
+        if self._watchers:
+            self._changed(addr)
 
     # -- arbitrary spans (DMA) ----------------------------------------------
 
@@ -145,6 +192,7 @@ class MemoryMedium:
     def write(self, addr: int, data: bytes) -> None:
         """Write ``data`` starting at ``addr`` (any alignment)."""
         self._check(addr, len(data))
+        watchers = self._watchers
         cur = addr
         pos = 0
         while pos < len(data):
@@ -160,6 +208,8 @@ class MemoryMedium:
             line = bytearray(self._lines.get(base, _ZERO_LINE))
             line[off:off + take] = data[pos:pos + take]
             self._lines[base] = bytes(line)
+            if watchers:
+                self._changed(base)
             cur += take
             pos += take
 

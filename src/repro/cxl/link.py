@@ -18,6 +18,9 @@ physical layer.  Two access classes are modeled:
 
 Links can be administratively or faultily taken down; accesses over a dead
 link raise :class:`LinkDownError`, which the failover machinery observes.
+A parked poller can watch a link (:meth:`CxlLink.watch`) instead of
+re-reading over it: the watch fires once, at the next change to how a
+line op behaves.
 """
 
 from __future__ import annotations
@@ -120,6 +123,28 @@ class CxlLink:
         self.jitter_ns = 0.0
         self._jitter_rng = None
         self.times_jittered = 0
+        #: One-shot watches run at the next change to how a line op
+        #: behaves (see :meth:`watch`).
+        self._watchers: list = []
+
+    # -- watches -----------------------------------------------------------
+
+    def watch(self, fn) -> None:
+        """Run ``fn()`` once, at the next change to how a line op over
+        this link behaves: it fails or is restored, or its fail-slow
+        latency or jitter is set or cleared (bandwidth changes only
+        touch bulk transfers, so they do not fire it)."""
+        self._watchers.append(fn)
+
+    def unwatch(self, fn) -> None:
+        """Withdraw a watch that has not fired (no-op if it has)."""
+        if fn in self._watchers:
+            self._watchers.remove(fn)
+
+    def _changed(self) -> None:
+        fns, self._watchers = self._watchers, []
+        for fn in fns:
+            fn()
 
     # -- health ----------------------------------------------------------
 
@@ -129,6 +154,7 @@ class CxlLink:
             self.times_failed += 1
             self._down_since = self.sim.now
         self.up = False
+        self._changed()
 
     def restore(self) -> None:
         """Bring the link back up."""
@@ -136,6 +162,7 @@ class CxlLink:
             self.downtime_ns += self.sim.now - self._down_since
             self._down_since = None
         self.up = True
+        self._changed()
 
     def degrade(self, factor: float) -> None:
         """Collapse the link's bandwidth to ``factor`` of nominal.
@@ -172,10 +199,12 @@ class CxlLink:
         if self.slow_factor == 1.0 and factor > 1.0:
             self.times_slowed += 1
         self.slow_factor = factor
+        self._changed()
 
     def restore_latency(self) -> None:
         """End a fail-slow window: line ops back to nominal latency."""
         self.slow_factor = 1.0
+        self._changed()
 
     @property
     def slowed(self) -> bool:
@@ -193,11 +222,13 @@ class CxlLink:
             self.times_jittered += 1
         self.jitter_ns = jitter_ns
         self._jitter_rng = rng
+        self._changed()
 
     def clear_jitter(self) -> None:
         """End a jitter window."""
         self.jitter_ns = 0.0
         self._jitter_rng = None
+        self._changed()
 
     def _line_extra_ns(self) -> float:
         """Fail-slow additions to one line op's latency."""

@@ -208,6 +208,54 @@ class HostMemorySystem:
         )
         return data
 
+    def peek_uncached(self, addr: int, size: int) -> bytes | None:
+        """What :meth:`load_line_uncached` would sample now for the
+        ``size`` bytes at ``addr`` (within one pool line), with no side
+        effect and no counter moved; None where that load would raise
+        (a failed MHD, a poisoned line)."""
+        base = addr - addr % CACHELINE_BYTES
+        buffered = self._store_buffer.get(base)
+        if buffered is not None:
+            line = buffered[1]
+        else:
+            mhd, media, dev, _link = self._route_cached(base)
+            line = None if mhd.failed else media.peek_line(dev)
+            if line is None:
+                return None
+        return line[addr - base:addr - base + size]
+
+    def watch_load(self, addr: int, on_line, on_link):
+        """Arm one-shot watches on an uncached load of the pool line at
+        ``addr``.
+
+        ``on_line()`` runs once at the line's next write, clear or
+        poison, and ``on_link()`` at the next change to how its link
+        serves a load (down, up, slowed or jittered; see
+        :meth:`CxlLink.watch`).  Returns ``(load_ns, cancel)``: the
+        latency of a load issued now, and a callable that withdraws
+        whichever watch has not fired.  Returns None, arming nothing, where a load
+        depends on more than those two: the line is in this host's
+        store buffer, or its MHD or link is down, or its link jitters
+        (each load draws from the link's random stream).
+        """
+        base = addr - addr % CACHELINE_BYTES
+        if base in self._store_buffer:
+            return None
+        mhd, media, dev, link = self._route_cached(base)
+        if mhd.failed or not link.up or link.jitter_ns > 0.0:
+            return None
+        media.watch_line(dev, on_line)
+        link.watch(on_link)
+
+        def cancel():
+            media.unwatch_line(dev, on_line)
+            link.unwatch(on_link)
+
+        # The sum load_line_uncached() times out on, with no jitter term.
+        load_ns = (self.timings.cpu_issue_ns
+                   + link.timings.cxl_load_ns * link.slow_factor)
+        return load_ns, cancel
+
     def _commit_nt(self, addr: int, data: bytes) -> None:
         """Enter ``data`` into the store buffer and schedule visibility."""
         delay, line = self._buffer_nt(addr, data)

@@ -33,7 +33,11 @@ import dataclasses
 
 from repro.channel.rpc import RpcError
 from repro.cxl.link import LinkDownError
-from repro.cxl.params import FENCE_KICK_STREAK_LIMIT, HEDGE_STREAK_LIMIT
+from repro.cxl.params import (
+    FENCE_KICK_STREAK_LIMIT,
+    HEDGE_STREAK_LIMIT,
+    LINK_RETRY_POLL_NS,
+)
 from repro.datapath.placement import BufferPlacement, DriverMemory
 from repro.datapath.proxy import (
     DeviceGoneError,
@@ -43,6 +47,7 @@ from repro.datapath.proxy import (
 from repro.obs import runtime as _obs
 from repro.obs.trace import add_phase_ns
 from repro.pcie.rings import COMPLETION_BYTES, CompletionEntry, seq_for_pass
+from repro.sim.grid import on_grid
 
 #: What a lost doorbell or register access raises.  The ops stay
 #: journaled; the watchdog (or the pool's migration hook) recovers them
@@ -80,6 +85,24 @@ class _PendingOp:
     #: Where the device writes this op's result, for devices that write
     #: one per ring slot (see :meth:`PooledQueueClient._bind_output`).
     out_addr: int | None = None
+
+
+class _CqPark:
+    """A collector parked on its polling loop's virtual grid.
+
+    ``next_ns`` is the loop's first read after the park; ``steps`` are
+    its two timeouts, the read's latency and then the poll sleep, so
+    the grid's points are each read's issue and its return.  ``cancel``
+    withdraws the line and link watches that wake it.
+    """
+
+    __slots__ = ("wake", "next_ns", "steps", "cancel")
+
+    def __init__(self, wake, next_ns: float, steps: tuple, cancel):
+        self.wake = wake
+        self.next_ns = next_ns
+        self.steps = steps
+        self.cancel = cancel
 
 
 class PooledQueueClient:
@@ -149,6 +172,8 @@ class PooledQueueClient:
         self._pending: dict[int, _PendingOp] = {}
         self._order = 0
         self._collector = None
+        #: The collector's park while it waits out an empty CQ head.
+        self._cq_park: _CqPark | None = None
         self._watchdog_proc = None
         self._failing_over = None
         self._kick_pending = False
@@ -223,15 +248,19 @@ class PooledQueueClient:
         self._tail += count
         return first
 
-    def _stage(self, span, addr: int, data: bytes, paced: bool):
-        """Process: copy one op's payload into its pool buffer; a failed
-        copy returns the op's pacer slot."""
+    def _stage(self, span, index: int, addr: int, data: bytes,
+               paced: bool):
+        """Process: copy the payload of the op reserved at ``index`` into
+        its pool buffer; a failed copy unwinds the op like a failed
+        burst of one, so its unwritten index cannot stall the doorbell
+        frontier."""
+        gen = self.generation
         try:
             t_link = self.sim.now
             yield from self.mem.write(addr, data)
             add_phase_ns(span, "ph_link_ns", self.sim.now - t_link)
         except BaseException:
-            self._release_pacing(paced)
+            self._abandon_burst(index, 1, [], gen, paced)
             raise
 
     def _journal(self, index: int, entry, span, paced: bool) -> _PendingOp:
@@ -262,8 +291,7 @@ class PooledQueueClient:
             # RetryBudgetExhausted) exactly like transport errors: a
             # budget-denied post must de-journal its op id, or failover
             # would replay an op whose caller already saw it fail.
-            self._pending.pop(index % _INDEX_SPACE, None)
-            self._release_slot(op)
+            self._dejournal(op)
             raise
         self._ensure_daemons()
         t_device = self.sim.now
@@ -310,11 +338,10 @@ class PooledQueueClient:
     def _abandon_burst(self, first: int, count: int, ops, gen: int,
                        paced: bool) -> None:
         """Unwind a burst whose caller is about to see it fail."""
-        # None of the batch is in flight: deregister it or the daemons
-        # would idle, and return every pacer slot it claimed.
+        # None of the batch is in flight: return every pacer slot it
+        # claimed, journaled or not.
         for op in ops:
-            self._pending.pop(op.index % _INDEX_SPACE, None)
-            self._release_slot(op)
+            self._dejournal(op)
         self._release_pacing(paced, count - len(ops))
         if gen != self.generation:
             return  # failover rebuilt the rings
@@ -329,6 +356,18 @@ class PooledQueueClient:
             # nothing new.
             self.sim.spawn(self._neutralize_abandoned(first, count, gen),
                            name=f"{self.name}.neutralize")
+
+    def _dejournal(self, op: _PendingOp) -> None:
+        """Drop a journaled op whose caller is about to see it fail.
+
+        It is not in flight: deregister it or the daemons would idle,
+        and return its pacer slot.  A collector parked on the journal it
+        empties is woken where its loop would next have checked it.
+        """
+        self._pending.pop(op.index % _INDEX_SPACE, None)
+        self._release_slot(op)
+        if not self._pending:
+            self._wake_collector()
 
     # -- pacing --------------------------------------------------------------
 
@@ -456,36 +495,115 @@ class PooledQueueClient:
                 self.budget.on_success()
             op.waiter.succeed(entry)
 
+    def _cq_slot(self) -> tuple[int, int]:
+        """The CQ head entry's address and the seq tag it will carry."""
+        head = self._cq_head
+        return (self.cq_base + (head % self.n_entries) * COMPLETION_BYTES,
+                seq_for_pass(head // self.n_entries))
+
     def _reap_cq(self, gen: int):
         """Process: claim the CQ head entry if the device has written it;
-        returns whether it did.
+        returns None if it did, else the entry's bytes as read.
 
         A read that failover overtook (the generation moved off ``gen``)
         is dropped unclaimed: it came from the old queues.
         """
-        expect = seq_for_pass(self._cq_head // self.n_entries)
-        addr = (self.cq_base
-                + (self._cq_head % self.n_entries) * COMPLETION_BYTES)
+        addr, expect = self._cq_slot()
         raw = yield from self.mem.read(addr, COMPLETION_BYTES)
         if gen != self.generation:
-            return False
+            return raw
         entry = CompletionEntry.decode(raw)
         if entry.seq != expect:
-            return False
+            return raw
         self._cq_head += 1
         self._complete(entry)
-        return True
+        return None
 
     def _collect_completions(self):
         """Drain CQ entries and wake the matching waiters.
 
-        Runs only while entries are outstanding, then exits.
+        Runs only while entries are outstanding, then exits.  After an
+        empty read it waits in :meth:`_park`.  A read that finds the CQ
+        memory unreachable (a link flap, a failed MHD) backs off
+        ``LINK_RETRY_POLL_NS`` and reads again; the op-timeout watchdog
+        stays the backstop.
         """
         while self._pending:
             gen = self.generation
-            reaped = yield from self._reap_cq(gen)
-            if not reaped and gen == self.generation:
-                yield self.sim.timeout(self.CQ_POLL_NS)
+            try:
+                sampled = yield from self._reap_cq(gen)
+            except LinkDownError:
+                yield self.sim.timeout(LINK_RETRY_POLL_NS)
+                continue
+            if sampled is not None and gen == self.generation:
+                yield from self._park(sampled)
+
+    def _park(self, sampled: bytes):
+        """Process: wait out an empty CQ head, as the polling loop would.
+
+        The loop sleeps ``CQ_POLL_NS`` after each empty read and reads
+        again: its reads issue at ``s = park + CQ_POLL_NS``, then at
+        ``(s + load_ns) + CQ_POLL_NS``.  The collector instead parks on
+        that virtual grid and costs no event until something such a read
+        sees changes: the head line, that line's link, or the journal
+        and generation the loop re-checks.  It is then woken
+        (:meth:`_wake_collector`) at the loop's next grid point: a
+        read's issue, where it makes the loop's read, or a read's
+        return, where the loop reads again at once if failover moved the
+        generation and otherwise sleeps ``CQ_POLL_NS`` first.
+
+        It parks only when that read could see nothing the watches miss:
+        ops are journaled, no failover is moving the queues, the entry
+        still holds the bytes the read ``sampled`` at its issue (an entry
+        that landed while the read was in flight fires no watch), no
+        store-buffer entry shadows the line, and its link is up and
+        unjittered.  Otherwise it sleeps ``CQ_POLL_NS``, as the loop did.
+        """
+        addr, _expect = self._cq_slot()
+        watch = None
+        if (self._pending and self._failing_over is None
+                and self.memsys.peek_uncached(addr, COMPLETION_BYTES)
+                == sampled):
+            watch = self.memsys.watch_load(addr, self._on_cq_line,
+                                           self._wake_collector)
+        if watch is None:
+            yield self.sim.timeout(self.CQ_POLL_NS)
+            return
+        load_ns, cancel = watch
+        gen = self.generation
+        park = self._cq_park = _CqPark(
+            self.sim.event("cq-wake"), self.sim.now + self.CQ_POLL_NS,
+            (load_ns, self.CQ_POLL_NS), cancel)
+        try:
+            step = yield park.wake
+        finally:
+            self._cq_park = None
+        if step == 1 and gen == self.generation:
+            # Woken at a read's return, where the loop starts its sleep
+            # (``steps[1]``) unless failover moved the generation.
+            yield self.sim.timeout(self.CQ_POLL_NS)
+
+    def _wake_collector(self, strict: bool = False) -> None:
+        """Wake a parked collector at its loop's next grid point: the
+        first at or after now, or strictly after it with ``strict``.
+
+        A read's return is a grid point too, so one wake always does: a
+        failover that starts while a read is in flight, even after an
+        earlier wake, is seen where the loop sees it, when that read
+        returns.  Spurious wakes are safe: the woken collector does
+        exactly what the loop did at that point."""
+        park = self._cq_park
+        if park is None or park.wake.triggered:
+            return
+        park.cancel()
+        on_grid(self.sim.now, park.next_ns, park.steps, strict, park.wake)
+
+    def _on_cq_line(self) -> None:
+        # Strictly after: a line that changes at a grid point changes
+        # after that point's read.  The loop scheduled that read a whole
+        # CQ_POLL_NS earlier; a device's CQ write is scheduled only the
+        # store latency (< CQ_POLL_NS) before it lands.
+        self._wake_collector(strict=True)
 
     def _watchdog(self, poll_ns: float = 10_000_000.0):
         """Process: detect a dead owner by stalled completions.
@@ -585,6 +703,7 @@ class PooledQueueClient:
             # old queues before anything else touches shared state.
             self.generation += 1
             gen = self.generation
+            self._wake_collector()
             yield from self._drain_cq()
             if new_handle is not None:
                 self.handle = new_handle
@@ -634,7 +753,7 @@ class PooledQueueClient:
         """
         yield self.sim.timeout(2_000.0)  # let in-flight CQ writes land
         while self._pending:
-            if not (yield from self._reap_cq(self.generation)):
+            if (yield from self._reap_cq(self.generation)) is not None:
                 break
 
     def _setup_with_retry(self, max_attempts: int = 50,

@@ -111,7 +111,7 @@ class RemoteAcceleratorClient(PooledQueueClient):
         try:
             index, paced = yield from self._pace_and_reserve(span)
             in_addr = self._input(index)
-            yield from self._stage(span, in_addr, data, paced)
+            yield from self._stage(span, index, in_addr, data, paced)
             comp, op = yield from self._submit(
                 index, Descriptor(in_addr, len(data), flags=kernel),
                 span, paced)

@@ -85,7 +85,7 @@ class RemoteSsdClient(PooledQueueClient):
         try:
             index, paced = yield from self._pace_and_reserve(span)
             buf = self._buffer(index)
-            yield from self._stage(span, buf, data, paced)
+            yield from self._stage(span, index, buf, data, paced)
             comp, _op = yield from self._submit(index, NvmeCommand(
                 NvmeCommand.OP_WRITE, len(data), lba=lba, buffer_addr=buf,
             ), span, paced)

@@ -47,6 +47,7 @@ from repro.cxl.params import (
 from repro.obs import names as _names
 from repro.obs import runtime as _obs
 from repro.sim.errors import Interrupt, SimError
+from repro.sim.grid import on_grid
 
 #: Brownout ladder rungs, least to most aggressive.
 BROWNOUT_NORMAL = 0      # full service
@@ -314,21 +315,15 @@ class AimdWindow:
         free = ceil(self.window - self.inflight)
         if free <= 0:
             return
-        sim = self._parked[0].wake.sim
-        now = sim.now
+        now = self._parked[0].wake.sim.now
         for waiter in self._parked:
             # Catch the grid up over the polls that would have found the
             # window full (armed waiters are already at or past now).
-            next_ns = waiter.next_ns
-            while next_ns < now:
-                next_ns += waiter.poll_ns
-            waiter.next_ns = next_ns
+            waiter.next_ns = on_grid(now, waiter.next_ns, (waiter.poll_ns,))
         for waiter in sorted(self._parked, key=_RANK)[:free]:
             if not waiter.wake.triggered:
-                # Lands on the grid point to the last bit: next - now is
-                # exact once now >= poll_ns (Sterbenz).  Inside a run's
-                # first poll period the kernel's now + delay can round.
-                waiter.wake.succeed(delay=waiter.next_ns - now)
+                on_grid(now, waiter.next_ns, (waiter.poll_ns,),
+                        wake=waiter.wake)
 
     def on_ack(self, occupancy_permille: int, now: float) -> None:
         """Fold one completion's piggybacked occupancy into the window."""

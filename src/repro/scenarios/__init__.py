@@ -11,7 +11,7 @@
   every cell (exactly-once ops, zero lost assignments, zero undetected
   corruption, fencing safety, lease safety under quarantine, retry-
   budget conservation, pacer-slot conservation, parked-dispatcher
-  liveness).
+  liveness, parked-collector liveness).
 
 Checked-in runbooks live in ``runbooks/``; ``python -m repro scenario
 list|run`` is the CLI surface.

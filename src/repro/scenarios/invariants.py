@@ -22,13 +22,14 @@ a heisenbug factory.
 Each auditor is mutation-tested (``tests/scenarios/test_invariants.py``):
 a seeded violation — counterfeit budget tokens, a double completion, a
 second unfenced lease holder, an unaccounted poison, a phantom pacer
-slot, a silenced ring wake-up — must trip exactly the auditor that owns
-the property.
+slot, a silenced ring wake-up, a silenced CQ line watch — must trip
+exactly the auditor that owns the property.
 """
 
 from __future__ import annotations
 
 from repro.channel.rpc import RpcEndpoint
+from repro.pcie.rings import COMPLETION_BYTES
 
 
 class InvariantAuditor:
@@ -338,13 +339,50 @@ class ParkedDispatcherLivenessAuditor(InvariantAuditor):
         return self._check(ctx)
 
 
+class ParkedCollectorLivenessAuditor(InvariantAuditor):
+    """Parked-collector liveness: every CQ entry wakes its collector.
+
+    A queue client's CQ collector parks after an empty read with no
+    timeout behind it; a watch on its CQ head line (and on that line's
+    link, and the client's own failure paths) wakes it.  A collector
+    still parked, its wake pending, while its head entry is already in
+    pool memory has lost a wake-up: the op would sit unreaped until
+    some later change to that line, or the op-timeout failover.
+    """
+
+    name = "parked_collector_liveness"
+
+    def _check(self, ctx) -> list:
+        violations = []
+        for label, client in ctx.op_clients():
+            park = client._cq_park
+            if park is None or park.wake.triggered:
+                continue
+            addr, expect = client._cq_slot()
+            raw = client.memsys.peek_uncached(addr, COMPLETION_BYTES)
+            # An entry's seq tag is its first byte.  Read it without
+            # CompletionEntry.decode, which perfbench counts as a CQ poll.
+            if raw is not None and raw[0] == expect:
+                violations.append(self._v(
+                    f"{label}: parked with CQ entry {client._cq_head} "
+                    f"already written"))
+        return violations
+
+    def sample(self, ctx) -> list:
+        return self._check(ctx)
+
+    def finish(self, ctx) -> list:
+        return self._check(ctx)
+
+
 #: Registry: auditor name -> factory.  ``ScenarioSpec.invariants`` may
 #: name a subset; the default is all of them, always.
 AUDITORS = {
     cls.name: cls
     for cls in (ExactlyOnceAuditor, AssignmentAuditor, CorruptionAuditor,
                 FencingAuditor, QuarantineLeaseAuditor, RetryBudgetAuditor,
-                PacerSlotAuditor, ParkedDispatcherLivenessAuditor)
+                PacerSlotAuditor, ParkedDispatcherLivenessAuditor,
+                ParkedCollectorLivenessAuditor)
 }
 
 

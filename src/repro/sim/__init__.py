@@ -30,6 +30,7 @@ Quick example::
 
 from repro.sim.errors import Interrupt, SimError, StopSimulation
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.grid import on_grid
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
 from repro.sim.queues import FilterStore, Store
@@ -50,4 +51,5 @@ __all__ = [
     "StopSimulation",
     "Store",
     "Timeout",
+    "on_grid",
 ]

@@ -161,3 +161,56 @@ def test_failed_burst_neutralizes_slots_a_concurrent_op_waits_behind(kind):
     # The device ran the four no-op fillers and then the concurrent op.
     assert rig.completed() == BURST + 1
     rig.close()
+
+
+def _failing_single(rig):
+    """Process: one op whose payload copy fails."""
+    try:
+        if rig.kind == "write_burst":
+            yield from rig.client.write(0, POISON)
+        else:
+            yield from rig.client.run_job(KERNEL_COMPRESS, POISON)
+    except InjectedFault:
+        return "unwound"
+    return "no-error"
+
+
+@pytest.mark.parametrize("kind", ["write_burst", "run_jobs"])
+def test_failed_single_op_copy_does_not_stall_a_later_op(kind):
+    """A single op reserves its index before it copies its payload, so a
+    copy that fails leaves a reserved index no doorbell will expose.  It
+    must unwind like a failed burst of one, or the doorbell frontier
+    stalls there and an op reserved after it waits for the op-timeout
+    failover."""
+    rig = Rig(kind)
+    client = rig.client
+    results = {}
+
+    def failing():
+        results["failing"] = yield from _failing_single(rig)
+
+    def single():
+        yield rig.sim.timeout(50.0)      # reserves while the copy runs
+        results["single_index"] = client._tail
+        start = rig.sim.now
+        results["single"] = yield from rig.single()
+        results["latency"] = rig.sim.now - start
+
+    def proc():
+        yield from client.setup()
+        f = rig.sim.spawn(failing())
+        s = rig.sim.spawn(single())
+        yield f
+        yield s
+
+    p = rig.sim.spawn(proc())
+    rig.sim.run(until=p)
+    assert results["failing"] == "unwound"
+    assert results["single_index"] == 1
+    assert results["single"] is True
+    assert client.failovers == 0 and client.op_timeouts == 0
+    assert results["latency"] < 100_000.0
+    assert client._pending == {}
+    # The device ran the no-op filler, then the op behind it.
+    assert rig.completed() == 2
+    rig.close()

@@ -186,7 +186,31 @@ def test_parked_dispatcher_liveness_trips_on_a_silenced_wake():
     assert not result.expect_failures and not result.error
 
 
-# -- registry ---------------------------------------------------------------
+def silence_next_line_watch(client):
+    """Make the CQ line watch ``client``'s collector arms next fire
+    without waking it."""
+    def silenced():
+        del client._on_cq_line           # later parks are woken again
+    client._on_cq_line = silenced
+
+
+def test_parked_collector_liveness_trips_on_a_silenced_line_watch():
+    """At 5 ms, while the closed loop's ops still run, the collector's
+    next CQ line watch fires without waking it.  The op it waits for
+    sits unreaped, its entry written, until the op-timeout watchdog
+    fails over about 200 ms later and the failover's CQ drain claims
+    it.  So the op still completes exactly once and only the liveness
+    auditor trips, at every sample in between."""
+    def silence_next_watches(ctx):
+        for _label, client in ctx.op_clients():
+            silence_next_line_watch(client)
+
+    result = run_sabotaged(silence_next_watches, at_ns=5e6)
+    assert not result.ok
+    assert tripped(result) == {"parked_collector_liveness"}
+    assert all("already written" in v for v in result.violations)
+    assert result.summary["w0.vssd.failovers"] == 1.0
+    assert not result.expect_failures and not result.error
 
 
 def test_registry_covers_the_issue_invariants():
@@ -194,7 +218,7 @@ def test_registry_covers_the_issue_invariants():
         "exactly_once", "no_lost_assignments", "no_undetected_corruption",
         "fencing_safety", "lease_safety_under_quarantine",
         "retry_budget_conservation", "pacer_slot_conservation",
-        "parked_dispatcher_liveness"}
+        "parked_dispatcher_liveness", "parked_collector_liveness"}
 
 
 def test_build_auditors_defaults_to_all():
