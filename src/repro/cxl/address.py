@@ -108,14 +108,15 @@ class InterleaveMap:
         """
         if size <= 0:
             raise ValueError(f"size must be positive, got {size}")
-        chunks = []
-        cur = addr
+        gran, n_links = self.granularity, self.n_links
         end = addr + size
-        while cur < end:
-            block_end = cur - (cur % self.granularity) + self.granularity
-            chunk_end = min(block_end, end)
-            chunks.append((self.link_for(cur), cur, chunk_end - cur))
-            cur = chunk_end
+        first, last = addr // gran, (end - 1) // gran
+        if first == last:
+            return [(first % n_links, addr, size)]
+        chunks = [(first % n_links, addr, (first + 1) * gran - addr)]
+        chunks += [(block % n_links, block * gran, gran)
+                   for block in range(first + 1, last)]
+        chunks.append((last % n_links, last * gran, end - last * gran))
         return chunks
 
     def bytes_per_link(self, addr: int, size: int) -> dict[int, int]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Optional
 
-from repro.cxl.address import CACHELINE_BYTES
+from repro.cxl.address import CACHELINE_BYTES, line_range
 
 #: Default capacity: 32 Ki lines = 2 MiB, an L2-ish working set.
 DEFAULT_CACHE_LINES = 32 * 1024
@@ -108,14 +108,31 @@ class CpuCache:
             return entry[0]
         return None
 
+    def dirty_line(self, addr: int) -> Optional[bytes]:
+        """The line's data if it is dirty, else None (no LRU refresh, no
+        counter moved)."""
+        self._require_aligned(addr)
+        entry = self._lines.get(addr)
+        if entry is None or not entry[1]:
+            return None
+        return entry[0]
+
     def drop_clean(self, addr: int) -> None:
-        """Invalidate without write-back (used on DMA-write snoops)."""
+        """Invalidate without write-back (used on NT-store snoops)."""
         self._require_aligned(addr)
         self._lines.pop(addr, None)
 
-    def dirty_lines(self) -> dict[int, bytes]:
-        """Snapshot of all dirty lines (for local-DMA snooping)."""
-        return {a: d for a, (d, dirty) in self._lines.items() if dirty}
+    def drop_span(self, addr: int, size: int) -> None:
+        """Invalidate without write-back every line overlapping
+        ``[addr, addr+size)`` (DMA-write and bulk NT-store snoops)."""
+        bases = line_range(addr, size)
+        if self.holds_any(bases):
+            for base in bases:
+                self._lines.pop(base, None)
+
+    def holds_any(self, bases) -> bool:
+        """True if any line base in ``bases`` is cached."""
+        return bool(self._lines) and not self._lines.keys().isdisjoint(bases)
 
     def clear(self) -> list[tuple[int, bytes]]:
         """Drop everything; returns dirty lines needing write-back."""

@@ -19,6 +19,8 @@ write, clear or poison.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from repro.cxl.address import CACHELINE_BYTES, AddressRange, line_base
 from repro.sim.errors import SimError
 
@@ -131,28 +133,6 @@ class MemoryMedium:
             return None
         return self._lines.get(addr, _ZERO_LINE)
 
-    def clear_line(self, addr: int) -> None:
-        """Zero the 64 B cacheline at ``addr`` (must be line-aligned).
-
-        Management-path scrub used when pool memory is (re)allocated:
-        clears poison and drops resident contents, so a recycled region
-        can never replay a previous owner's bytes — stale-but-CRC-valid
-        ring slots in reused channel memory would otherwise decode as
-        fresh messages.
-        """
-        # Hot path (every line of every allocation is scrubbed): one
-        # arithmetic guard, as in read_line, and the poison set and the
-        # watches are only probed when they are non-empty.
-        if addr % CACHELINE_BYTES or addr < 0 \
-                or addr + CACHELINE_BYTES > self.capacity:
-            self._require_aligned(addr)
-            self._check(addr)
-        if self.poisoned_lines:
-            self._scrub(addr)
-        self._lines.pop(addr, None)
-        if self._watchers:
-            self._changed(addr)
-
     def write_line(self, addr: int, data: bytes) -> None:
         """Write a full 64 B cacheline at ``addr``."""
         if addr % CACHELINE_BYTES or addr < 0 \
@@ -169,49 +149,116 @@ class MemoryMedium:
         if self._watchers:
             self._changed(addr)
 
+    # -- runs of lines ----------------------------------------------------
+    #
+    # Bulk copies, DMAs, posted-store landings and the allocation scrub
+    # hand the medium a run of lines in one call.  Poison scrubs, poison
+    # checks and watches stay per line and in address order, but each is
+    # probed only while its set is non-empty.
+
+    def write_lines(self, addr: int, lines) -> None:
+        """Store whole 64 B ``lines`` from ``addr`` (line-aligned) on.
+
+        Each line scrubs its poison, and its watches fire right after it
+        is stored, before the next line.
+        """
+        end = addr + len(lines) * CACHELINE_BYTES
+        if addr % CACHELINE_BYTES or addr < 0 or end > self.capacity:
+            self._require_aligned(addr)
+            self._check(addr, end - addr)
+        bases = range(addr, end, CACHELINE_BYTES)
+        if not self.poisoned_lines and not self._watchers:
+            self._lines.update(zip(bases, lines, strict=True))
+            return
+        for base, line in zip(bases, lines, strict=True):
+            if self.poisoned_lines:
+                self._scrub(base)
+            self._lines[base] = line
+            if self._watchers:
+                self._changed(base)
+
+    def clear_lines(self, addr: int, size: int) -> None:
+        """Zero every line of ``[addr, addr+size)`` (line-aligned ``addr``).
+
+        Management-path scrub used when pool memory is (re)allocated:
+        clears poison and drops resident contents, so a recycled region
+        can never replay a previous owner's bytes — stale-but-CRC-valid
+        ring slots in reused channel memory would otherwise decode as
+        fresh messages.  Lines that hold no contents, poison or watch are
+        not visited.
+        """
+        end = addr + size
+        if addr % CACHELINE_BYTES or addr < 0 or end > self.capacity:
+            self._require_aligned(addr)
+            self._check(addr, size)
+        bases = range(addr, end, CACHELINE_BYTES)
+        lines = self._lines
+        if ((self.poisoned_lines
+             and not self.poisoned_lines.isdisjoint(bases))
+                or (self._watchers
+                    and not self._watchers.keys().isdisjoint(bases))):
+            for base in bases:
+                if self.poisoned_lines:
+                    self._scrub(base)
+                lines.pop(base, None)
+                if self._watchers:
+                    self._changed(base)
+        elif len(lines) * CACHELINE_BYTES < size:
+            for base in [base for base in lines if addr <= base < end]:
+                del lines[base]
+        else:
+            for base in bases:
+                lines.pop(base, None)
+
     # -- arbitrary spans (DMA) ----------------------------------------------
 
     def read(self, addr: int, size: int) -> bytes:
-        """Read ``size`` bytes starting at ``addr`` (any alignment)."""
+        """Read ``size`` bytes starting at ``addr`` (any alignment).
+
+        The first poisoned line the span covers raises.
+        """
         self._check(addr, size)
-        out = bytearray()
-        cur = addr
-        remaining = size
-        poisoned = self.poisoned_lines
-        while remaining > 0:
-            base = line_base(cur)
-            off = cur - base
-            take = min(CACHELINE_BYTES - off, remaining)
-            if poisoned:
+        if size <= 0:
+            return b""
+        first = line_base(addr)
+        bases = range(first, addr + size, CACHELINE_BYTES)
+        if self.poisoned_lines and not self.poisoned_lines.isdisjoint(bases):
+            for base in bases:
                 self._check_poison(base)
-            out += self._lines.get(base, _ZERO_LINE)[off:off + take]
-            cur += take
-            remaining -= take
-        return bytes(out)
+        data = b"".join(map(self._lines.get, bases, repeat(_ZERO_LINE)))
+        if len(data) == size:
+            return data
+        return data[addr - first:addr - first + size]
 
     def write(self, addr: int, data: bytes) -> None:
-        """Write ``data`` starting at ``addr`` (any alignment)."""
+        """Write ``data`` starting at ``addr`` (any alignment).
+
+        Partial edge lines merge against the current contents once; a
+        partial overwrite of a poisoned line scrubs it, and the stale
+        remainder of that line, unreadable anyway, reads as zeros
+        afterwards rather than resurrecting corrupt bytes.
+        """
         self._check(addr, len(data))
-        watchers = self._watchers
-        cur = addr
-        pos = 0
-        while pos < len(data):
-            base = line_base(cur)
-            off = cur - base
-            take = min(CACHELINE_BYTES - off, len(data) - pos)
-            # A partial overwrite of a poisoned line scrubs it: the stale
-            # remainder of the line was unreadable anyway, so it reads as
-            # zeros afterwards rather than resurrecting corrupt bytes.
-            if base in self.poisoned_lines:
-                self._scrub(base)
-                self._lines.pop(base, None)
-            line = bytearray(self._lines.get(base, _ZERO_LINE))
-            line[off:off + take] = data[pos:pos + take]
-            self._lines[base] = bytes(line)
-            if watchers:
-                self._changed(base)
-            cur += take
-            pos += take
+        if not data:
+            return
+        data = bytes(data)
+        end = addr + len(data)
+        head = addr % CACHELINE_BYTES
+        tail = -end % CACHELINE_BYTES
+        if head:
+            data = self._merge_base(addr - head)[:head] + data
+        if tail:
+            data += self._merge_base(end + tail - CACHELINE_BYTES)[-tail:]
+        self.write_lines(addr - head, [
+            data[pos:pos + CACHELINE_BYTES]
+            for pos in range(0, len(data), CACHELINE_BYTES)
+        ])
+
+    def _merge_base(self, base: int) -> bytes:
+        """What a partial write of the line at ``base`` merges against."""
+        if base in self.poisoned_lines:
+            return _ZERO_LINE
+        return self._lines.get(base, _ZERO_LINE)
 
     @staticmethod
     def _require_aligned(addr: int) -> None:

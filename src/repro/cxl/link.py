@@ -252,11 +252,22 @@ class CxlLink:
 
     def store_latency(self) -> float:
         """Visibility latency of one non-temporal cacheline store."""
+        return self.store_lines(1)[0]
+
+    def store_lines(self, n: int) -> list[float]:
+        """Visibility latencies of ``n`` non-temporal cacheline stores.
+
+        One link check for the run; a jittered link draws ``n`` values
+        from its own stream, in line order, exactly as ``n`` calls of
+        :meth:`store_latency` would.
+        """
         self._check_up()
-        self.line_ops += 1
-        self.bytes_written += 64
-        return (self.timings.cxl_store_ns * self.slow_factor
-                + self._line_extra_ns())
+        self.line_ops += n
+        self.bytes_written += 64 * n
+        latency = self.timings.cxl_store_ns * self.slow_factor
+        if self.jitter_ns > 0.0 and self._jitter_rng is not None:
+            return [latency + self._line_extra_ns() for _ in range(n)]
+        return [latency] * n
 
     # -- bulk transfers ----------------------------------------------------
 

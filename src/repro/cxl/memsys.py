@@ -20,9 +20,10 @@ inside a simulation process).  The semantics that matter for correctness:
 
 from __future__ import annotations
 
+from itertools import pairwise
 from typing import TYPE_CHECKING
 
-from repro.cxl.address import CACHELINE_BYTES, line_range
+from repro.cxl.address import CACHELINE_BYTES, line_base, line_range
 from repro.cxl.cache import CpuCache
 from repro.cxl.device import PoisonedMemoryError
 from repro.cxl.link import DmaCompletion, LinkDownError
@@ -65,8 +66,10 @@ class HostMemorySystem:
         # Route memoization: the pool address map is static (interleave
         # stripes and RAS windows never move, and MHD/link/media objects
         # survive fail/repair), so line -> (mhd, media, dev_addr, link) is
-        # a pure function worth caching — pollers hit the same line every
-        # few tens of ns.  Liveness is still checked per access.
+        # a pure function worth caching for single-line accesses —
+        # pollers hit the same line every few tens of ns.  Bulk copies
+        # and DMAs walk device extents instead and leave the memo alone.
+        # Liveness is still checked per access.
         self._pool_base = pod.pool_range.base
         self._pool_top = pod.pool_range.base + pod.pool_range.size
         self._route_cache: dict[int, tuple] = {}
@@ -116,14 +119,19 @@ class HostMemorySystem:
             return media.read_line(dev)
         return self.port.local_dram.read_line(addr)
 
-    def _medium_write_line(self, addr: int, data: bytes) -> None:
+    def _line_route(self, addr: int) -> tuple:
+        """Where one line lives: ``(mhd, medium, device_addr, link)``,
+        with ``mhd`` and ``link`` None in local DRAM."""
         if self._pool_base <= addr < self._pool_top:
-            mhd, media, dev, _link = self._route_cached(addr)
-            if mhd.failed:
-                raise MhdFailedError(mhd)
-            media.write_line(dev, data)
-        else:
-            self.port.local_dram.write_line(addr, data)
+            return self._route_cached(addr)
+        return None, self.port.local_dram, addr, None
+
+    def _extents(self, addr: int, size: int) -> list[tuple]:
+        """A span's device extents (:meth:`CxlPod.extents`); a span in
+        local DRAM is one extent whose MHD index is None."""
+        if self._pool_base <= addr < self._pool_top:
+            return self.pod.extents(addr, size)
+        return [(None, self.port.local_dram, addr, size)]
 
     # -- CPU line operations -----------------------------------------------------
 
@@ -170,24 +178,30 @@ class HostMemorySystem:
         self._commit_nt(addr, bytes(data))
 
     def flush_line(self, addr: int):
-        """Process: clwb — write back the line if dirty (keeps it cached)."""
+        """Process: clwb — write back the line if dirty (keeps it cached).
+
+        The writeback commits before the line is cleaned: over a down
+        link it raises with the line still dirty.
+        """
         yield self.sim.timeout(self.timings.cpu_issue_ns)
-        data = self.cache.take_dirty(addr)
-        if data is None:
-            return
-        # clwb retires once the data is accepted; visibility is posted.
-        self._commit_nt(addr, data)
+        data = self.cache.dirty_line(addr)
+        if data is not None:
+            # clwb retires once the data is accepted; visibility is posted.
+            self._commit_nt(addr, data)
+            self.cache.take_dirty(addr)
 
     def invalidate_line(self, addr: int):
         """Process: drop the cached copy (forcing the next load to fetch).
 
         Dirty data is written back first (clflush semantics) so local
-        modifications are not silently lost.
+        modifications are not silently lost: over a down link the
+        writeback raises and the line stays cached and dirty.
         """
         yield self.sim.timeout(self.timings.cpu_issue_ns)
-        dirty = self.cache.invalidate(addr)
-        if dirty is not None:
-            self._commit_nt(addr, dirty)
+        data = self.cache.dirty_line(addr)
+        if data is not None:
+            self._commit_nt(addr, data)
+        self.cache.invalidate(addr)
 
     def load_line_uncached(self, addr: int):
         """Process: 64 B load that bypasses the cache entirely.
@@ -257,46 +271,50 @@ class HostMemorySystem:
         return load_ns, cancel
 
     def _commit_nt(self, addr: int, data: bytes) -> None:
-        """Enter ``data`` into the store buffer and schedule visibility."""
-        delay, line = self._buffer_nt(addr, data)
-        self._post_lines(delay, (line,), "nt-drain")
+        """Draw one NT store's latency, enter it in the store buffer and
+        post its landing.
 
-    def _buffer_nt(self, addr: int, data: bytes) -> tuple[float, tuple]:
-        """Draw an NT store's latency, then enter it in the store buffer.
-
-        Returns the delay and the ``(addr, data, wid)`` line to post.  The
-        draw comes first: a store to a down link raises before it leaves
-        a store-buffer entry that no landing would ever retire.
+        The draw comes first: a store to a down link raises before it
+        leaves a store-buffer entry that no landing would ever retire.
         """
-        delay = self._store_latency(addr)
+        mhd, media, dev, link = self._line_route(addr)
+        delay = (self.timings.ddr5_store_ns if link is None
+                 else link.store_latency())
         self._store_wid += 1
         wid = self._store_wid
         self._store_buffer[addr] = (wid, data)
-        return delay, (addr, data, wid)
+        self._post_lines(delay, ((addr, (data,), wid, mhd, media, dev),),
+                         "nt-drain")
 
-    def _post_lines(self, delay: float, lines, name: str) -> None:
-        """Land posted ``(addr, data, wid)`` lines ``delay`` ns from now.
+    def _post_lines(self, delay: float, runs, name: str) -> None:
+        """Land posted runs ``delay`` ns from now.
 
-        One kernel event, no process, for lines that land at the same
-        instant, in order: NT stores (``wid`` names the line's
-        store-buffer entry) or a dirty-eviction writeback (``wid`` None).
+        A run is ``(addr, lines, wid, mhd, medium, device_addr)``: whole
+        64 B ``lines`` stored from ``addr`` on, on one device extent.
+        One kernel event, no process, lands runs due at the same instant,
+        in order: NT stores (``wid`` names the first line's store-buffer
+        entry, the next line's is ``wid + 1``) or a dirty-eviction
+        writeback (``wid`` None).
         """
-        landing = Timeout(self.sim, delay, value=lines, name=name)
+        landing = Timeout(self.sim, delay, value=runs, name=name)
         landing.callbacks.append(self._land_lines)
 
     def _land_lines(self, landing: Timeout) -> None:
         buffer = self._store_buffer
-        for addr, data, wid in landing.value:
-            try:
-                self._medium_write_line(addr, data)
-            except LinkDownError:
+        for addr, lines, wid, mhd, medium, dev in landing.value:
+            if mhd is not None and mhd.failed:
                 # Posted write to a device that died in flight: the write
                 # is lost (counted), never silently half-applied.
-                self.stores_dropped += 1
+                self.stores_dropped += len(lines)
+            else:
+                medium.write_lines(dev, lines)
             if wid is not None:
-                entry = buffer.get(addr)
-                if entry is not None and entry[0] == wid:
-                    del buffer[addr]
+                for base in range(addr, addr + len(lines) * CACHELINE_BYTES,
+                                  CACHELINE_BYTES):
+                    entry = buffer.get(base)
+                    if entry is not None and entry[0] == wid:
+                        del buffer[base]
+                    wid += 1
 
     # -- convenience span operations (CPU, cached) -------------------------------
 
@@ -307,10 +325,7 @@ class HostMemorySystem:
         read-modify-written functionally.  With ``nt=True`` every line is
         pushed straight to the device (publish semantics).
         """
-        pos = 0
         for base in line_range(addr, len(data)):
-            off = max(addr - base, 0)
-            take = min(CACHELINE_BYTES - off, len(data) - pos)
             # Pay the store cost first; merge partial lines at commit time
             # (in this same resume) so interleaved writers to neighbouring
             # fragments of one cacheline never lose each other's update.
@@ -320,18 +335,12 @@ class HostMemorySystem:
                 yield self.sim.timeout(
                     self.timings.cpu_issue_ns + self.timings.cache_hit_ns
                 )
-            if off == 0 and take == CACHELINE_BYTES:
-                line = data[pos:pos + take]
-            else:
-                current = self._peek_line(base)
-                line = (current[:off] + data[pos:pos + take]
-                        + current[off + take:])
+            line = self._line_of(base, addr, data)
             if nt:
                 self.cache.drop_clean(base)
                 self._commit_nt(base, bytes(line))
             else:
                 self._handle_evictions(self.cache.write(base, line))
-            pos += take
 
     def read_span(self, addr: int, size: int, uncached: bool = False):
         """Process: load an arbitrary span line by line; returns bytes."""
@@ -345,6 +354,18 @@ class HostMemorySystem:
             end = min(addr + size - base, CACHELINE_BYTES)
             out += line[start:end]
         return bytes(out)
+
+    def _line_of(self, base: int, addr: int, data: bytes) -> bytes:
+        """The line at ``base`` once ``data`` is stored at ``addr``: the
+        overlapping bytes of ``data``, a partial line merged against this
+        host's view (:meth:`_peek_line`)."""
+        lo = max(addr, base)
+        hi = min(addr + len(data), base + CACHELINE_BYTES)
+        if hi - lo == CACHELINE_BYTES:
+            return data[lo - addr:hi - addr]
+        current = self._peek_line(base)
+        return (current[:lo - base] + data[lo - addr:hi - addr]
+                + current[hi - base:])
 
     def _peek_line(self, addr: int) -> bytes:
         """Functional read for read-modify-write (this host's view).
@@ -369,12 +390,11 @@ class HostMemorySystem:
 
     # -- bulk (memcpy-style) operations --------------------------------------
 
-    def _stream_time(self, addr: int, size: int) -> float:
-        """Pipelined streaming time for a bulk CPU copy of ``size`` bytes."""
-        if not self._is_pool(addr):
-            return size / self.timings.ddr5_bandwidth_gbps
-        offset = self.pod.pool_range.offset_of(addr)
-        per_link = self.pod.span_bytes_per_link(offset, size)
+    def _stream_time(self, extents) -> float:
+        """Pipelined streaming time for a bulk CPU copy over ``extents``."""
+        per_link = _bytes_per_link(extents)
+        if None in per_link:
+            return per_link[None] / self.timings.ddr5_bandwidth_gbps
         return max(
             nbytes / self.port.links[idx].bandwidth
             for idx, nbytes in per_link.items()
@@ -385,50 +405,106 @@ class HostMemorySystem:
 
         Pays one issue cost plus bandwidth-bound streaming time, then
         commits every line atomically in a single resume.  With
-        ``nt=True`` each line draws its store latency and enters the
-        store buffer in order, and the lines that land at the same
-        instant land together, in that order, in one event.  This is how
-        payload buffers are filled; per-line :meth:`write_span` is for
-        small control structures.
+        ``nt=True`` the lines commit one device extent at a time (see
+        :meth:`_commit_extent`), and the lines that land at the same
+        instant land together, in commit order, in one event.  This is
+        how payload buffers are filled; per-line :meth:`write_span` is
+        for small control structures.
         """
         size = len(data)
         if size == 0:
             return
+        extents = self._extents(addr, size)
         yield self.sim.timeout(
-            self.timings.cpu_issue_ns + self._stream_time(addr, size)
+            self.timings.cpu_issue_ns + self._stream_time(extents)
         )
+        if not nt:
+            for base in line_range(addr, size):
+                self._handle_evictions(
+                    self.cache.write(base, self._line_of(base, addr, data)))
+            return
+        data = bytes(data)
         now = self.sim.now
-        # Landing instant -> (delay, lines).  Keyed on the instant, not
+        # Landing instant -> (delay, runs).  Keyed on the instant, not
         # the delay: two delays can round to one instant.
         landings: dict[float, tuple[float, list]] = {}
+        mhds, links = self.pod.mhds, self.port.links
         try:
-            pos = 0
-            for base in line_range(addr, size):
-                off = max(addr - base, 0)
-                take = min(CACHELINE_BYTES - off, size - pos)
-                if off == 0 and take == CACHELINE_BYTES:
-                    line = data[pos:pos + take]
-                else:
-                    current = self._peek_line(base)
-                    line = (current[:off] + data[pos:pos + take]
-                            + current[off + take:])
-                if nt:
-                    self.cache.drop_clean(base)
-                    delay, posted = self._buffer_nt(base, bytes(line))
-                    at = now + delay
-                    group = landings.get(at)
-                    if group is None:
-                        landings[at] = (delay, [posted])
-                    else:
-                        group[1].append(posted)
-                else:
-                    self._handle_evictions(self.cache.write(base, line))
-                pos += take
+            start = addr
+            for idx, media, dev, length in extents:
+                mhd = link = None
+                if idx is not None:
+                    mhd, link = mhds[idx], links[idx]
+                stop = start + length
+                lo = line_base(start)
+                if lo < addr:
+                    # The span's partial first line.
+                    self._commit_extent(
+                        landings, now, lo, [self._line_of(lo, addr, data)],
+                        mhd, media, dev + lo - start, link)
+                    lo += CACHELINE_BYTES
+                whole = stop - stop % CACHELINE_BYTES
+                if whole > lo:
+                    self._commit_extent(
+                        landings, now, lo,
+                        [data[pos:pos + CACHELINE_BYTES] for pos in
+                         range(lo - addr, whole - addr, CACHELINE_BYTES)],
+                        mhd, media, dev + lo - start, link)
+                if whole < stop and whole >= lo:
+                    # The span's partial last line.
+                    self._commit_extent(
+                        landings, now, whole,
+                        [self._line_of(whole, addr, data)],
+                        mhd, media, dev + whole - start, link)
+                start = stop
         finally:
-            # A down link raises mid-payload: the lines committed before
-            # it still land.
-            for delay, lines in landings.values():
-                self._post_lines(delay, lines, "nt-drain")
+            # A down link or a dead MHD raises mid-payload: the lines
+            # committed before it still land.
+            for delay, runs in landings.values():
+                self._post_lines(delay, runs, "nt-drain")
+
+    def _commit_extent(self, landings: dict, now: float, base: int,
+                       lines: list, mhd, media, dev: int, link) -> None:
+        """NT-commit whole ``lines`` from ``base`` on, all on one device
+        extent: one latency draw, one cache snoop and one store-buffer
+        update, then the run joins ``landings`` by landing instant.
+
+        Every state change and raise happens where a per-line loop
+        (snoop, draw, store-buffer entry, line by line) makes it: over a
+        down link only the first line is snooped before the raise.  A
+        jittered run whose lines land at different instants splits into
+        one run per instant.
+        """
+        n = len(lines)
+        if link is None:
+            delays = [self.timings.ddr5_store_ns] * n
+        else:
+            try:
+                delays = link.store_lines(n)
+            except LinkDownError:
+                self.cache.drop_clean(base)
+                raise
+        self.cache.drop_span(base, n * CACHELINE_BYTES)
+        wid = self._store_wid + 1
+        self._store_wid += n
+        self._store_buffer.update(zip(
+            range(base, base + n * CACHELINE_BYTES, CACHELINE_BYTES),
+            zip(range(wid, wid + n), lines, strict=True), strict=True))
+        if delays.count(delays[0]) == n:
+            cuts = [0, n]
+        else:
+            cuts = [0] + [k for k in range(1, n)
+                          if now + delays[k] != now + delays[k - 1]] + [n]
+        for i, j in pairwise(cuts):
+            delay = delays[i]
+            at = now + delay
+            off = i * CACHELINE_BYTES
+            run = (base + off, lines[i:j], wid + i, mhd, media, dev + off)
+            group = landings.get(at)
+            if group is None:
+                landings[at] = (delay, [run])
+            else:
+                group[1].append(run)
 
     def read_bulk(self, addr: int, size: int, uncached: bool = False):
         """Process: streaming load of an arbitrary span (memcpy).
@@ -436,27 +512,46 @@ class HostMemorySystem:
         Pays one leading-miss latency plus bandwidth-bound streaming time.
         Data is assembled from this host's coherent view (cache unless
         ``uncached``, store buffer, then device); lines are not installed
-        in the cache (streaming semantics).
+        in the cache (streaming semantics).  A device extent none of whose
+        lines this host holds is read with one media call; otherwise its
+        lines are read one by one.
         """
         if size == 0:
             return b""
+        miss = self._miss_latency(addr - addr % CACHELINE_BYTES)
+        extents = self._extents(addr, size)
         yield self.sim.timeout(
-            self.timings.cpu_issue_ns
-            + self._miss_latency(addr - addr % CACHELINE_BYTES)
-            + self._stream_time(addr, size)
+            self.timings.cpu_issue_ns + miss + self._stream_time(extents)
         )
-        out = bytearray()
-        for base in line_range(addr, size):
-            if uncached:
-                buffered = self._store_buffer.get(base)
-                line = (buffered[1] if buffered is not None
-                        else self._medium_read_line(base))
+        buffer = self._store_buffer
+        mhds = self.pod.mhds
+        parts = []
+        start = addr
+        for idx, media, dev, length in extents:
+            stop = start + length
+            bases = range(line_base(start), stop, CACHELINE_BYTES)
+            shadowed = bool(buffer) and not buffer.keys().isdisjoint(bases)
+            if not uncached:
+                # A cached read also sees this host's cache, and merges
+                # a poisoned line as zeros.
+                shadowed = (shadowed or self.cache.holds_any(bases)
+                            or bool(media.poisoned_lines))
+            if shadowed:
+                for base in bases:
+                    if uncached:
+                        buffered = buffer.get(base)
+                        line = (buffered[1] if buffered is not None
+                                else self._medium_read_line(base))
+                    else:
+                        line = self._peek_line(base)
+                    parts.append(line[max(start - base, 0):
+                                      min(stop - base, CACHELINE_BYTES)])
             else:
-                line = self._peek_line(base)
-            start = max(addr - base, 0)
-            end = min(addr + size - base, CACHELINE_BYTES)
-            out += line[start:end]
-        return bytes(out)
+                if idx is not None and mhds[idx].failed:
+                    raise MhdFailedError(mhds[idx])
+                parts.append(media.read(dev, length))
+            start = stop
+        return b"".join(parts)
 
     # -- DMA (device-initiated on this host) ---------------------------------------
 
@@ -474,8 +569,7 @@ class HostMemorySystem:
             self.pod.pool_write(addr, data)
         else:
             self.port.local_dram.write(addr, data)
-        for base in line_range(addr, len(data)):
-            self.cache.drop_clean(base)
+        self.cache.drop_span(addr, len(data))
 
     def dma_read(self, addr: int, size: int):
         """Process: a locally-attached PCIe device reads ``size`` bytes.
@@ -485,23 +579,30 @@ class HostMemorySystem:
         """
         yield from self._dma(addr, size, write=False)
         if self._is_pool(addr):
-            data = bytearray(self.pod.pool_read(addr, size))
+            data = self.pod.pool_read(addr, size)
         else:
-            data = bytearray(self.port.local_dram.read(addr, size))
-        # Overlay this host's store buffer and dirty lines (snoop): local
-        # DMA is coherent with the issuing host, never with remote hosts.
-        dirty = self.cache.dirty_lines()
-        if dirty or self._store_buffer:
-            for base in line_range(addr, size):
-                buffered = self._store_buffer.get(base)
-                line = dirty.get(base, buffered[1] if buffered else None)
-                if line is None:
+            data = self.port.local_dram.read(addr, size)
+        # Overlay this host's dirty lines, then its store buffer (snoop):
+        # local DMA is coherent with the issuing host, never with remote
+        # hosts.  Only the span's own lines are probed.
+        buffer = self._store_buffer
+        if not (len(self.cache) or buffer):
+            return data
+        bases = line_range(addr, size)
+        if not (self.cache.holds_any(bases)
+                or (buffer and not buffer.keys().isdisjoint(bases))):
+            return data
+        data = bytearray(data)
+        for base in bases:
+            line = self.cache.dirty_line(base)
+            if line is None:
+                buffered = buffer.get(base)
+                if buffered is None:
                     continue
-                start = max(addr, base)
-                end = min(addr + size, base + CACHELINE_BYTES)
-                data[start - addr:end - addr] = (
-                    line[start - base:end - base]
-                )
+                line = buffered[1]
+            start = max(addr, base)
+            end = min(addr + size, base + CACHELINE_BYTES)
+            data[start - addr:end - addr] = line[start - base:end - base]
         return bytes(data)
 
     def _dma(self, addr: int, size: int, write: bool):
@@ -513,8 +614,9 @@ class HostMemorySystem:
             yield self.sim.timeout(serialize + base_lat)
             return
         # Pool: one share per link per the interleave map, in parallel.
-        offset = self.pod.pool_range.offset_of(addr)
-        per_link = self.pod.span_bytes_per_link(offset, size)
+        if size <= 0:
+            raise ValueError(f"DMA size must be positive, got {size}")
+        per_link = _bytes_per_link(self.pod.extents(addr, size))
         done = DmaCompletion(self.sim, len(per_link), self.timings, write)
         links = self.port.links
         for link_idx, nbytes in sorted(per_link.items()):
@@ -528,23 +630,30 @@ class HostMemorySystem:
             return self._route_cached(addr)[3].load_latency()
         return self.timings.ddr5_load_ns
 
-    def _store_latency(self, addr: int) -> float:
-        if self._pool_base <= addr < self._pool_top:
-            return self._route_cached(addr)[3].store_latency()
-        return self.timings.ddr5_store_ns
-
     def _handle_evictions(self, evicted: list[tuple[int, bytes]]) -> None:
         # Dirty evictions write back asynchronously (like a real WB cache).
         for addr, data in evicted:
+            mhd, media, dev, link = self._line_route(addr)
             try:
-                delay = self._store_latency(addr)
+                delay = (self.timings.ddr5_store_ns if link is None
+                         else link.store_latency())
             except LinkDownError:
                 # Evicting a line whose device is gone: the writeback has
                 # nowhere to go.  Must not blow up the (unrelated) access
                 # that triggered the eviction.
                 self.stores_dropped += 1
                 continue
-            self._post_lines(delay, ((addr, data, None),), "evict-wb")
+            self._post_lines(delay, ((addr, (data,), None, mhd, media, dev),),
+                             "evict-wb")
 
     def __repr__(self) -> str:
         return f"<HostMemorySystem {self.host_id}>"
+
+
+def _bytes_per_link(extents) -> dict:
+    """Bytes per MHD index (None for local DRAM) over ``extents``, in
+    first-touch order."""
+    per_link: dict = {}
+    for idx, _media, _dev, length in extents:
+        per_link[idx] = per_link.get(idx, 0) + length
+    return per_link

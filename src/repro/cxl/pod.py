@@ -238,34 +238,53 @@ class CxlPod:
 
     def mhd_of(self, addr: int) -> int | None:
         """The confining MHD of a pool address (None if interleaved)."""
-        offset = self.pool_range.offset_of(addr)
-        if offset < self.interleaved_capacity:
+        if self.pool_range.offset_of(addr) < self.interleaved_capacity:
             return None
-        return (offset - self.interleaved_capacity) // self.ras_window_bytes
+        return self.route(addr)[0]
 
-    def span_bytes_per_link(self, offset: int, size: int) -> dict[int, int]:
-        """Bytes moved per link for a pool span at ``offset`` (DMA split)."""
-        if offset + size <= self.interleaved_capacity:
-            return self.interleave.bytes_per_link(offset, size)
-        mhd_idx = self._ras_span_index(offset, size)
-        return {mhd_idx: size}
+    def extents(self, addr: int, size: int) -> list[tuple]:
+        """Split a pool span into device extents, in address order.
 
-    def _ras_span_index(self, offset: int, size: int) -> int:
-        """The single RAS window containing the span (or ValueError)."""
-        if offset < self.interleaved_capacity:
+        Returns ``(mhd_index, media, device_addr, length)`` runs: one per
+        interleave block the span touches, or one for a span inside an
+        MHD's RAS window.  This is :meth:`route` for a span; bulk copies,
+        DMAs and the allocation scrub walk these instead of 64 B lines.
+        Raises ValueError for a span that leaves the pool, straddles the
+        interleaved/direct boundary or crosses a RAS window.
+        """
+        offset = self.pool_range.offset_of(addr)
+        if not self.pool_range.contains(addr, size):
             raise ValueError(
-                f"pool span at offset {offset:#x} straddles the "
-                "interleaved/direct boundary"
+                f"pool span [{addr:#x}, {addr + size:#x}) exceeds pool"
             )
-        rel = offset - self.interleaved_capacity
-        first = rel // self.ras_window_bytes
-        last = (rel + size - 1) // self.ras_window_bytes
-        if first != last:
-            raise ValueError(
-                f"pool span at offset {offset:#x} (+{size}) crosses a "
-                "RAS window boundary"
-            )
-        return first
+        if size == 0:
+            return []
+        if offset + size > self.interleaved_capacity:
+            if offset < self.interleaved_capacity:
+                raise ValueError(
+                    f"pool span at offset {offset:#x} straddles the "
+                    "interleaved/direct boundary"
+                )
+            mhd_idx, within = divmod(offset - self.interleaved_capacity,
+                                     self.ras_window_bytes)
+            if within + size > self.ras_window_bytes:
+                raise ValueError(
+                    f"pool span at offset {offset:#x} (+{size}) crosses a "
+                    "RAS window boundary"
+                )
+            return [(mhd_idx, self.mhds[mhd_idx].memory,
+                     self.config.direct_offset + within, size)]
+        # Block k of the interleaved region is block k // n_mhds of MHD
+        # k % n_mhds, as in route().
+        gran = self.interleave.granularity
+        stripe = gran * self.config.n_mhds
+        mhds = self.mhds
+        return [
+            (mhd_idx, mhds[mhd_idx].memory,
+             chunk_off // stripe * gran + chunk_off % gran, chunk_size)
+            for mhd_idx, chunk_off, chunk_size
+            in self.interleave.split(offset, size)
+        ]
 
     # -- functional pool access (no timing; used by media-side agents) --------
 
@@ -276,15 +295,11 @@ class CxlPod:
         byte if any chunk targets a failed MHD; a poisoned line raises
         :class:`~repro.cxl.device.PoisonedMemoryError` from the media.
         """
-        chunks = self._chunks(addr, size)
-        routed = [self.route(chunk_addr) for _link, chunk_addr, _sz in chunks]
-        for mhd_idx, _media, _dev in routed:
+        extents = self.extents(addr, size)
+        for mhd_idx, _media, _dev, _size in extents:
             self.mhds[mhd_idx].check_alive()
-        out = bytearray()
-        for (_link, _chunk_addr, chunk_size), (_idx, media, dev_addr) \
-                in zip(chunks, routed, strict=True):
-            out += media.read(dev_addr, chunk_size)
-        return bytes(out)
+        return b"".join([media.read(dev_addr, chunk_size)
+                         for _idx, media, dev_addr, chunk_size in extents])
 
     def pool_write(self, addr: int, data: bytes) -> None:
         """Write pool bytes directly to the media (no cache, no timing).
@@ -296,37 +311,17 @@ class CxlPod:
         tear is reported explicitly as :class:`PartialPoolWriteError`
         rather than surfacing as a silent partial update.
         """
-        chunks = self._chunks(addr, len(data))
-        routed = [self.route(chunk_addr) for _link, chunk_addr, _sz in chunks]
-        for mhd_idx, _media, _dev in routed:
+        extents = self.extents(addr, len(data))
+        for mhd_idx, _media, _dev, _size in extents:
             self.mhds[mhd_idx].check_alive()
         pos = 0
-        for (_link, _chunk_addr, chunk_size), (mhd_idx, media, dev_addr) \
-                in zip(chunks, routed, strict=True):
+        for mhd_idx, media, dev_addr, chunk_size in extents:
             try:
                 self.mhds[mhd_idx].check_alive()
                 media.write(dev_addr, data[pos:pos + chunk_size])
             except LinkDownError as exc:
                 raise PartialPoolWriteError(addr, pos, len(data)) from exc
             pos += chunk_size
-
-    def _chunks(self, addr: int, size: int):
-        offset = self.pool_range.offset_of(addr)
-        if not self.pool_range.contains(addr, size):
-            raise ValueError(
-                f"pool span [{addr:#x}, {addr + size:#x}) exceeds pool"
-            )
-        if size == 0:
-            return []
-        if offset + size > self.interleaved_capacity:
-            # Direct RAS window: no interleaving, one chunk on one device.
-            mhd_idx = self._ras_span_index(offset, size)
-            return [(mhd_idx, addr, size)]
-        return [
-            (link, self.pool_range.base + chunk_off, chunk_size)
-            for link, chunk_off, chunk_size
-            in self.interleave.split(offset, size)
-        ]
 
     # -- RAS verbs (fault injection & recovery) -------------------------------
 
@@ -478,9 +473,8 @@ class CxlPod:
         liveness; interleaving requires every MHD up), so the scrub
         never touches a failed device.
         """
-        for addr in range(rng.base, rng.base + rng.size, CACHELINE_BYTES):
-            _idx, media, dev_addr = self.route(addr)
-            media.clear_line(dev_addr)
+        for _idx, media, dev_addr, size in self.extents(rng.base, rng.size):
+            media.clear_lines(dev_addr, size)
 
     def pick_ras_mhd(self) -> int:
         """Next healthy MHD in round-robin order (λ-redundant spreading).

@@ -81,11 +81,31 @@ def test_clean_eviction_is_silent():
     assert evicted == []
 
 
-def test_dirty_lines_snapshot():
+def test_dirty_line_returns_only_dirty_data():
     cache = CpuCache("h0")
     cache.write(0, LINE)
     cache.fill(64, OTHER)
-    assert cache.dirty_lines() == {0: LINE}
+    assert cache.dirty_line(0) == LINE
+    assert cache.dirty_line(64) is None
+    assert cache.dirty_line(128) is None
+    # A peek: the line stays dirty and no counter moves.
+    assert cache.is_dirty(0)
+    assert (cache.hits, cache.misses, cache.writebacks) == (0, 0, 0)
+    with pytest.raises(ValueError):
+        cache.dirty_line(3)
+
+
+def test_drop_span_drops_every_overlapping_line():
+    cache = CpuCache("h0")
+    for addr in (0, 64, 128, 192):
+        cache.write(addr, LINE)
+    cache.drop_span(70, 100)            # overlaps lines 64 and 128
+    assert sorted(cache._lines) == [0, 192]
+    assert cache.writebacks == 0        # no write-back, like drop_clean
+    assert cache.holds_any(range(0, 64, 64))
+    assert not cache.holds_any(range(64, 192, 64))
+    with pytest.raises(ValueError):
+        cache.drop_span(0, 0)
 
 
 def test_clear_returns_dirty():

@@ -141,3 +141,40 @@ def test_a_slowed_link_lands_its_lines_in_a_second_event(pod):
         payload[:2 * STRIPE]]
     assert pod.pool_read(POOL_BASE, len(payload)) == payload
     assert h0._store_buffer == {}
+
+
+@pytest.mark.parametrize("verb", ["flush_line", "invalidate_line"])
+def test_writeback_over_a_down_link_keeps_the_line_dirty(pod, verb):
+    """A clwb or clflush whose link is down raises before the cache
+    changes: the line stays cached and dirty, and a retry once the link
+    is back writes it to the device."""
+    sim, pod = pod
+    h0, h1 = pod.host("h0"), pod.host("h1")
+    link = h0.port.links[0]
+    outcome = []
+
+    def writeback():
+        yield from h0.store_line(POOL_BASE, b"D" * LINE)
+        link.fail()
+        try:
+            yield from getattr(h0, verb)(POOL_BASE)
+        except LinkDownError:
+            outcome.append("link-down")
+
+    sim.spawn(writeback())
+    sim.run()
+    assert outcome == ["link-down"]
+    assert h0.cache.is_dirty(POOL_BASE)
+    assert h0._store_buffer == {}
+    link.restore()
+
+    def retry():
+        yield from h0.flush_line(POOL_BASE)
+        yield sim.timeout(1_000.0)
+        return (yield from h0.load_line(POOL_BASE))
+
+    p = sim.spawn(retry())
+    sim.run()
+    assert p.value == b"D" * LINE
+    assert pod.pool_read(POOL_BASE, LINE) == b"D" * LINE
+    assert _read_uncached(sim, h1, POOL_BASE, LINE) == b"D" * LINE
