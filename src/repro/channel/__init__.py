@@ -30,7 +30,7 @@ from repro.channel.messages import (
 )
 from repro.channel.fragment import FragmentReceiver, FragmentSender
 from repro.channel.pingpong import PingPongResult, run_pingpong
-from repro.channel.ring import RingChannel, RingFullError, RingReceiver, RingSender
+from repro.channel.ring import RingChannel, RingReceiver, RingSender
 from repro.channel.rpc import RpcEndpoint, RpcError
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "MmioWrite",
     "PingPongResult",
     "RingChannel",
-    "RingFullError",
     "RingReceiver",
     "RingSender",
     "RpcEndpoint",

@@ -36,8 +36,8 @@ producer, single consumer, each variable written by exactly one side.
 
 Wakeups: a receiver that finds its ring empty may park instead of
 polling (see :mod:`repro.channel.rpc`).  The ring owns that rendezvous.
-A slot becomes readable only through :meth:`RingSender._write_slot` or
-:meth:`RingSender._publish_run`, and each ends in one ``_announce``:
+A slot becomes readable only through :meth:`RingSender._publish`,
+which ends in one ``_announce``:
 it records the sender's count on the receiver
 (:attr:`RingReceiver.published`) and triggers the receiver's pending
 :attr:`RingReceiver.wake` event.  A parked poller therefore cannot miss
@@ -49,10 +49,10 @@ contiguous multi-line NT stores (split only at the ring wrap);
 :meth:`RingReceiver.drain` consumes every ready slot in one poll pass
 with a single progress publish per batch.  Per-slot CRC/poison
 containment is preserved: a damaged slot inside a batch is skipped and
-counted without aborting the rest of the batch.  A burst of one takes
-exactly the single-slot path, so its wire bytes and timing are
-bit-identical to a legacy ``send`` — batching never perturbs the
-Figure 4 single-message latency.
+counted without aborting the rest of the batch.  :meth:`RingSender.send`
+is a burst of one through the same loop, and a one-slot run is one
+single-line NT store, so batching never perturbs the Figure 4
+single-message latency.
 """
 
 from __future__ import annotations
@@ -83,9 +83,6 @@ _SEQ_PERIOD = 250
 
 _PROGRESS = struct.Struct("<Q")
 
-#: Immutable zero line used to blank the tail of a reused slot scratch.
-_ZEROS = bytes(CACHELINE_BYTES)
-
 #: CRC32 of the 3-byte (seq, length) header prefix, memoized per
 #: ``(seq << 6) | length`` — seq cycles 1..250 and length <= 57, so the
 #: table tops out at a few thousand small ints.  Chaining the payload
@@ -105,15 +102,10 @@ def _slot_crc(seq: int, payload: bytes) -> int:
     return zlib.crc32(payload, prefix)
 
 
-class RingFullError(RuntimeError):
-    """Raised by non-blocking sends when the ring has no free slot."""
-
-
 class RingSaturatedError(RuntimeError):
     """A bounded blocking send waited past its deadline on a full ring.
 
-    Distinct from :class:`RingFullError` (an instantaneous refusal) and
-    deliberately *not* a :class:`LinkDownError` subclass: a saturated
+    Deliberately *not* a :class:`LinkDownError` subclass: a saturated
     ring is overload, not a transport fault, and must never feed the
     link-retry ladders that would amplify it.  Callers shed the work or
     surface a typed overload failure instead.  Only raised when the
@@ -261,20 +253,15 @@ class RingSender:
         self.poison_hits = 0
         #: Set when the channel's memory is freed: all sends must fail.
         self.retired = False
-        #: Gray-failure demotion: while set, bursts degrade to the
-        #: slot-at-a-time path.  On fail-slow media a multi-line NT store
-        #: serializes behind every stretched line; single-slot stores
-        #: keep per-message tail latency bounded at the cost of batching.
+        #: Gray-failure demotion: while set, bursts send one slot per
+        #: chunk.  On fail-slow media a multi-line NT store serializes
+        #: behind every stretched line; single-slot stores keep
+        #: per-message tail latency bounded at the cost of batching.
         self.degraded = False
-        # Scratch cacheline for slot encode: the header is packed in
-        # place instead of allocating a fresh bytearray per message.  The
-        # published frame is still snapshotted immutable before the first
-        # yield — concurrent sender processes share this scratch.
-        self._scratch = bytearray(CACHELINE_BYTES)
         #: The receiving half, linked by :class:`RingChannel`: every
         #: publish is announced to it (:meth:`_announce`).
         self.peer: RingReceiver | None = None
-        # Ring-full stalls observed (blocking sends) / refusals (try_send).
+        # Ring-full stalls observed.
         self.full_events = 0
         # Bounded sends that hit their deadline while still full —
         # counted apart from full_events (a stall that *resolved* is
@@ -292,6 +279,10 @@ class RingSender:
              deadline_ns: float | None = None):
         """Process: enqueue ``payload`` (<= 57 B), blocking while full.
 
+        A burst of one: the returned process is :meth:`_send`, the
+        reservation loop behind :meth:`send_burst`, under a
+        ``ring.send`` span.
+
         Safe for multiple sender *processes* on the same host: the slot
         index is reserved synchronously before any yield, so concurrent
         sends never write the same slot.
@@ -307,82 +298,8 @@ class RingSender:
         reserved the store always completes (abandoning a reserved slot
         would wedge the receiver's FIFO seq expectations).
         """
-        if len(payload) > SLOT_PAYLOAD_BYTES:
-            raise ValueError(
-                f"payload of {len(payload)} B exceeds slot capacity "
-                f"{SLOT_PAYLOAD_BYTES} B; use the fragmentation layer"
-            )
-        sim = self.region.memsys.sim
-        tracer = _obs.TRACER
-        span = None
-        if tracer.enabled:
-            span = tracer.begin(
-                "ring.send", sim.now,
-                track=f"{self.region.memsys.host_id}/ring",
-                parent=ctx, cat="ring",
-            )
-        retries_before = self.link_retries
-        stalled = False
-        while True:
-            if self.retired:
-                raise ChannelRetiredError(self.region.memsys.host_id)
-            if self._head - self._known_consumed < self.layout.n_slots:
-                slot_number = self._head
-                self._head += 1  # reserve before yielding
-                break
-            if not stalled:
-                stalled = True
-                self._note_full()
-            if deadline_ns is not None and sim.now >= deadline_ns:
-                self._note_saturated()
-                raise RingSaturatedError(
-                    self.region.memsys.host_id, deadline_ns
-                )
-            try:
-                yield from self._refresh_progress()
-            except LinkDownError:
-                self.link_retries += 1
-                yield sim.timeout(self.link_retry_poll_ns)
-                continue
-            if self._head - self._known_consumed < self.layout.n_slots:
-                continue
-            yield sim.timeout(poll_interval_ns)
-        self._note_occupancy()
-        if span is not None and sim.now > span.start_ns:
-            # Time stalled on a full ring before the slot was reserved:
-            # queueing, not transit, for the phase attributor.
-            span.set(ph_queueing_ns=sim.now - span.start_ns)
-        try:
-            yield from self._write_slot(slot_number, payload)
-        finally:
-            if span is not None:
-                tracer.end(
-                    span, sim.now, slot=slot_number,
-                    link_retries=self.link_retries - retries_before,
-                )
-
-    def try_send(self, payload: bytes):
-        """Process: enqueue or raise :class:`RingFullError` (no blocking).
-
-        Refreshes the progress line once before giving up.
-        """
-        if len(payload) > SLOT_PAYLOAD_BYTES:
-            raise ValueError(
-                f"payload of {len(payload)} B exceeds slot capacity"
-            )
-        if self.retired:
-            raise ChannelRetiredError(self.region.memsys.host_id)
-        if self._head - self._known_consumed >= self.layout.n_slots:
-            yield from self._refresh_progress()
-            if self._head - self._known_consumed >= self.layout.n_slots:
-                self._note_full()
-                raise RingFullError(
-                    f"ring full ({self.layout.n_slots} slots)"
-                )
-        slot_number = self._head
-        self._head += 1  # reserve before yielding
-        self._note_occupancy()
-        yield from self._write_slot(slot_number, payload)
+        return self._send((payload,), "ring.send", poll_interval_ns, ctx,
+                          deadline_ns)
 
     def send_burst(self, payloads,
                    poll_interval_ns: float = RING_FULL_POLL_NS, ctx=None,
@@ -395,56 +312,62 @@ class RingSender:
         only where the chunk wraps around the ring end.  A burst larger
         than the free space proceeds in ring-sized chunks.  Safe for
         multiple sender processes on one host: every chunk's slot range
-        is reserved synchronously before any yield.
-
-        A burst of one degenerates to :meth:`send` exactly, so its wire
-        bytes and timing are bit-identical to the legacy single-slot
-        path.  Returns the number of messages sent (= ``len(payloads)``).
+        is reserved synchronously before any yield.  Returns the number
+        of messages sent (= ``len(payloads)``).
 
         ``deadline_ns`` bounds every chunk's ring-full wait like
         :meth:`send`; a mid-burst :class:`RingSaturatedError` leaves the
         already-reserved chunks published (the return value is never
         partial — the exception is the only signal).
         """
-        payloads = list(payloads)
+        return self._send(payloads, "ring.send_burst", poll_interval_ns,
+                          ctx, deadline_ns)
+
+    def _send(self, payloads, span_name: str, poll_interval_ns: float,
+              ctx, deadline_ns: float | None):
+        """Process: the one reservation loop behind :meth:`send` and
+        :meth:`send_burst`; returns the number of messages sent.
+
+        Each chunk blocks until at least one slot is free, then reserves
+        as many as fit.  While :attr:`degraded`, a chunk is one slot and
+        each slot notes its own ring-full stall, as separate sends would.
+        """
+        payloads = tuple(payloads)
         for payload in payloads:
             if len(payload) > SLOT_PAYLOAD_BYTES:
                 raise ValueError(
                     f"payload of {len(payload)} B exceeds slot capacity "
                     f"{SLOT_PAYLOAD_BYTES} B; use the fragmentation layer"
                 )
-        if not payloads:
+        total = len(payloads)
+        if not total:
             return 0
-        if len(payloads) == 1 or self.degraded:
-            for payload in payloads:
-                yield from self.send(payload,
-                                     poll_interval_ns=poll_interval_ns,
-                                     ctx=ctx, deadline_ns=deadline_ns)
-            return len(payloads)
         sim = self.region.memsys.sim
         tracer = _obs.TRACER
         span = None
         if tracer.enabled:
             span = tracer.begin(
-                "ring.send_burst", sim.now,
+                span_name, sim.now,
                 track=f"{self.region.memsys.host_id}/ring",
-                parent=ctx, cat="ring", args={"n": len(payloads)},
+                parent=ctx, cat="ring",
             )
+        n_slots = self.layout.n_slots
+        degraded = self.degraded
+        retries_before = self.link_retries
         sent = 0
         stalled = False
         wait_ns = 0.0
         try:
-            while sent < len(payloads):
-                # One flow-control check per chunk: block until at least
-                # one slot frees, then take as many as fit.
+            while sent < total:
                 chunk_entered_ns = sim.now
+                if degraded:
+                    stalled = False
                 while True:
                     if self.retired:
                         raise ChannelRetiredError(
                             self.region.memsys.host_id
                         )
-                    free = (self.layout.n_slots
-                            - (self._head - self._known_consumed))
+                    free = n_slots - (self._head - self._known_consumed)
                     if free > 0:
                         break
                     if not stalled:
@@ -461,65 +384,59 @@ class RingSender:
                         self.link_retries += 1
                         yield sim.timeout(self.link_retry_poll_ns)
                         continue
-                    if (self.layout.n_slots
-                            - (self._head - self._known_consumed)) > 0:
+                    if self._head - self._known_consumed < n_slots:
                         continue
                     yield sim.timeout(poll_interval_ns)
                 wait_ns += sim.now - chunk_entered_ns
-                take = min(free, len(payloads) - sent)
+                take = 1 if degraded else min(free, total - sent)
                 first = self._head
                 self._head += take  # reserve the whole chunk before yielding
                 self._note_occupancy()
-                yield from self._write_slots(
-                    first, payloads[sent:sent + take]
-                )
-                sent += take
+                end = sent + take
+                while sent < end:
+                    # One NT store per run: a chunk splits only where it
+                    # wraps the ring end.
+                    run = min(end - sent, n_slots - first % n_slots)
+                    yield from self._publish(first,
+                                             payloads[sent:sent + run])
+                    first += run
+                    sent += run
         finally:
             if span is not None:
                 if wait_ns > 0.0:
+                    # Time stalled on a full ring before the slots were
+                    # reserved: queueing, not transit, for the attributor.
                     span.set(ph_queueing_ns=wait_ns)
-                tracer.end(span, sim.now, sent=sent)
+                tracer.end(span, sim.now, sent=sent,
+                           link_retries=self.link_retries - retries_before)
         return sent
 
-    def _write_slots(self, first_slot: int, payloads):
-        """Process: publish reserved consecutive slots, split at the wrap."""
-        n = self.layout.n_slots
-        pos = 0
-        while pos < len(payloads):
-            index = (first_slot + pos) % n
-            run = min(len(payloads) - pos, n - index)
-            if run == 1:
-                yield from self._write_slot(first_slot + pos, payloads[pos])
-            else:
-                yield from self._publish_run(
-                    first_slot + pos, payloads[pos:pos + run]
-                )
-            pos += run
-
-    def _publish_run(self, first_slot: int, payloads):
-        """Process: one contiguous multi-line NT store of several slots."""
-        index = first_slot % self.layout.n_slots
-        burst = bytearray(CACHELINE_BYTES * len(payloads))
+    def _publish(self, first_slot: int, payloads):
+        """Process: make reserved consecutive slots readable with one NT
+        store, retried across link flaps: a single-line store for one
+        slot, a multi-line burst for more (its lines land in commit
+        order, each one atomic)."""
+        n_slots = self.layout.n_slots
+        count = len(payloads)
+        lines = bytearray(CACHELINE_BYTES * count)
         for i, payload in enumerate(payloads):
-            slot_number = first_slot + i
-            seq = _seq_for_pass(slot_number // self.layout.n_slots)
+            seq = _seq_for_pass((first_slot + i) // n_slots)
             base = CACHELINE_BYTES * i
-            _HEADER.pack_into(burst, base, seq, len(payload),
+            _HEADER.pack_into(lines, base, seq, len(payload),
                               _slot_crc(seq, payload))
-            burst[base + _HEADER.size:base + _HEADER.size + len(payload)] \
+            lines[base + _HEADER.size:base + _HEADER.size + len(payload)] \
                 = payload
-        frame = bytes(burst)
+        frame = bytes(lines)
+        store = (self.region.publish if count == 1
+                 else self.region.publish_bulk)
+        offset = self.layout.slot_offset(first_slot % n_slots)
         sim = self.region.memsys.sim
         attempts = 0
         while True:
             if self.retired:
                 raise ChannelRetiredError(self.region.memsys.host_id)
             try:
-                # One streaming NT burst: all slots of the run become
-                # visible in commit order, each line still atomic.
-                yield from self.region.publish_bulk(
-                    self.layout.slot_offset(index), frame
-                )
+                yield from store(offset, frame)
                 break
             except LinkDownError:
                 attempts += 1
@@ -527,7 +444,7 @@ class RingSender:
                     raise
                 self.link_retries += 1
                 yield sim.timeout(self.link_retry_poll_ns)
-        self.sent += len(payloads)
+        self.sent += count
         self._announce()
 
     def _announce(self) -> None:
@@ -556,42 +473,6 @@ class RingSender:
         _obs.METRICS.gauge(_names.RING_OCCUPANCY).set(
             self._head - self._known_consumed
         )
-
-    def _write_slot(self, slot_number: int, payload: bytes):
-        index = slot_number % self.layout.n_slots
-        seq = _seq_for_pass(slot_number // self.layout.n_slots)
-        # Encode into the per-sender scratch line (header packed in
-        # place, tail blanked so reused scratch stays byte-identical to
-        # a fresh buffer), then snapshot once: the snapshot is what the
-        # (possibly retried) publish stores, immune to a concurrent
-        # sender reusing the scratch during our yields.
-        slot = self._scratch
-        _HEADER.pack_into(slot, 0, seq, len(payload),
-                          _slot_crc(seq, payload))
-        end = _HEADER.size + len(payload)
-        slot[_HEADER.size:end] = payload
-        if end < CACHELINE_BYTES:
-            slot[end:] = _ZEROS[end:]
-        frame = bytes(slot)
-        sim = self.region.memsys.sim
-        attempts = 0
-        while True:
-            if self.retired:
-                raise ChannelRetiredError(self.region.memsys.host_id)
-            try:
-                # One NT store: tag + payload land atomically at the device.
-                yield from self.region.publish(
-                    self.layout.slot_offset(index), frame
-                )
-                break
-            except LinkDownError:
-                attempts += 1
-                if attempts > self.max_link_retries:
-                    raise
-                self.link_retries += 1
-                yield sim.timeout(self.link_retry_poll_ns)
-        self.sent += 1
-        self._announce()
 
     def _refresh_progress(self):
         try:

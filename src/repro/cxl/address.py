@@ -96,10 +96,6 @@ class InterleaveMap:
         self.n_links = n_links
         self.granularity = granularity
 
-    def link_for(self, addr: int) -> int:
-        """Index of the link that carries the access to ``addr``."""
-        return (addr // self.granularity) % self.n_links
-
     def split(self, addr: int, size: int) -> list[tuple[int, int, int]]:
         """Split ``[addr, addr+size)`` into per-link chunks.
 
@@ -118,10 +114,3 @@ class InterleaveMap:
                    for block in range(first + 1, last)]
         chunks.append((last % n_links, last * gran, end - last * gran))
         return chunks
-
-    def bytes_per_link(self, addr: int, size: int) -> dict[int, int]:
-        """Total bytes routed to each link for a transfer."""
-        totals: dict[int, int] = {}
-        for link, _chunk_addr, chunk_size in self.split(addr, size):
-            totals[link] = totals.get(link, 0) + chunk_size
-        return totals

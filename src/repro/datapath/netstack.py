@@ -223,30 +223,8 @@ class UdpStack:
     def sendto(self, payload: bytes, dst_mac: int, dst_port: int,
                src_port: int = 0):
         """Process: transmit one UDP datagram (blocks on TX credits)."""
-        header_total = ETH_HEADER_BYTES + UDP_HEADER_BYTES
-        if header_total + len(payload) > self.buf_bytes:
-            raise ValueError(
-                f"datagram of {len(payload)} B exceeds buffer size "
-                f"{self.buf_bytes - header_total} B"
-            )
-        tracer = _obs.TRACER
-        span = None
-        if tracer.enabled:
-            span = tracer.begin(
-                "udp.send", self.sim.now,
-                track=f"{self.memsys.host_id}/udp", cat="udp",
-                args={"bytes": len(payload), "dst_port": dst_port,
-                      "remote": self.handle.is_remote},
-            )
-        try:
-            yield self.sim.timeout(self.sw_overhead_ns)
-            datagram = (_UDP.pack(src_port, dst_port, len(payload))
-                        + payload)
-            frame = EthernetFrame(dst_mac, self.mac, datagram).encode()
-            yield from self._send_frame(frame, parent=span)
-        finally:
-            if span is not None:
-                tracer.end(span, self.sim.now)
+        return self._send_datagrams("udp.send", (payload,), dst_mac,
+                                    dst_port, src_port)
 
     def sendto_burst(self, payloads, dst_mac: int, dst_port: int,
                      src_port: int = 0):
@@ -259,7 +237,15 @@ class UdpStack:
         a sendmmsg()-style submission.  Returns the number of datagrams
         posted (= ``len(payloads)``), matching ``RingSender.send_burst``.
         """
-        payloads = list(payloads)
+        return self._send_datagrams("udp.send_burst", payloads, dst_mac,
+                                    dst_port, src_port)
+
+    def _send_datagrams(self, span_name: str, payloads, dst_mac: int,
+                        dst_port: int, src_port: int):
+        """Process: encode ``payloads`` as UDP frames and post them
+        (:meth:`_send_frames`) under one ``span_name`` span; returns the
+        number posted.  :meth:`sendto` is a batch of one."""
+        payloads = tuple(payloads)
         header_total = ETH_HEADER_BYTES + UDP_HEADER_BYTES
         for payload in payloads:
             if header_total + len(payload) > self.buf_bytes:
@@ -273,9 +259,11 @@ class UdpStack:
         span = None
         if tracer.enabled:
             span = tracer.begin(
-                "udp.send_burst", self.sim.now,
+                span_name, self.sim.now,
                 track=f"{self.memsys.host_id}/udp", cat="udp",
-                args={"n": len(payloads), "dst_port": dst_port,
+                args={"n": len(payloads),
+                      "bytes": sum(len(payload) for payload in payloads),
+                      "dst_port": dst_port,
                       "remote": self.handle.is_remote},
             )
         try:
@@ -293,7 +281,7 @@ class UdpStack:
             if span is not None:
                 tracer.end(span, self.sim.now)
 
-    def _send_frames(self, frames: list, parent=None):
+    def _send_frames(self, frames, parent=None):
         """Process: publish a batch of frames, one doorbell per chunk.
 
         Flow control mirrors ``RingSender.send_burst``: block for one
@@ -319,9 +307,11 @@ class UdpStack:
     def _post_tx_chunk(self, chunk: list, parent=None):
         """Process: publish one credit-backed chunk under one doorbell.
 
-        Mirrors :meth:`_send_frame` slot for slot — per-frame journal,
-        retried descriptor writes — but orders the chunk with one fence
-        and exposes it with one doorbell carrying the final tail.
+        Each frame is journaled until its TX completion is observed, and
+        its payload and descriptor writes are retried across link flaps;
+        one fence orders the chunk and one doorbell carrying the final
+        tail exposes it.  First-time sends and post-failover resends
+        (:meth:`resend_frame`) both come through here.
         """
         with self._tx_lock.request() as lock:
             try:
@@ -347,9 +337,10 @@ class UdpStack:
                     journaled.append(index)
                     buf = self.tx_bufs + slot * self.buf_bytes
                     desc_addr = self.tx_ring + slot * DESCRIPTOR_BYTES
-                    # Reserved slots: retried across flaps so the NIC
-                    # never fetches a garbage descriptor (see
-                    # _send_frame).
+                    # The descriptor slot is reserved above, so the
+                    # writes must be retried across a link flap:
+                    # abandoning them would leave a garbage descriptor
+                    # the NIC later fetches.
                     for attempt in range(self.fault_retry_limit + 1):
                         try:
                             yield from self.mem.write(buf, frame)
@@ -365,62 +356,6 @@ class UdpStack:
                             yield self.sim.timeout(self.fault_retry_ns)
                 yield from self.mem.fence()
                 if parent is not None and _obs.TRACER.enabled:
-                    _obs.TRACER.instant(
-                        "udp.doorbell", self.sim.now,
-                        track=f"{self.memsys.host_id}/udp",
-                        parent=parent, cat="udp",
-                    )
-                yield from self.handle.ring_doorbell(TX_QUEUE, tail,
-                                                     parent=parent)
-            except BaseException:
-                # The caller observes this failure and owns any retry;
-                # leaving the frames journaled would make a later
-                # failover replay them a second time.  The chunk's
-                # credits stay consumed with their reserved slots,
-                # exactly like a failed single-frame send.
-                for index in journaled:
-                    self._tx_journal.pop(index % (1 << 16), None)
-                raise
-        self.datagrams_sent += len(chunk)
-
-    def _send_frame(self, frame: bytes, parent=None):
-        """Process: publish one encoded frame and ring the TX doorbell.
-
-        Shared between first-time sends and post-failover resends; the
-        frame is journaled until its TX completion is observed.
-        """
-        yield self._tx_credits.get()
-        with self._tx_lock.request() as lock:
-            yield lock
-            index = self._tx_tail
-            slot = index % self.n_desc
-            self._tx_tail += 1
-            tail = self._tx_tail
-            if not self._tx_journal:
-                # Hedge clock starts when work becomes pending.
-                self._tx_progress_ns = self.sim.now
-            self._tx_journal[index % (1 << 16)] = frame
-            buf = self.tx_bufs + slot * self.buf_bytes
-            desc_addr = self.tx_ring + slot * DESCRIPTOR_BYTES
-            try:
-                # The descriptor slot is reserved above, so the writes
-                # must be retried across a link flap: abandoning them
-                # would leave a garbage descriptor the NIC later fetches.
-                for attempt in range(self.fault_retry_limit + 1):
-                    try:
-                        yield from self.mem.write(buf, frame)
-                        yield from self.mem.write(
-                            desc_addr,
-                            Descriptor(buf, len(frame)).encode(),
-                        )
-                        yield from self.mem.fence()
-                        break
-                    except LinkDownError:
-                        if attempt >= self.fault_retry_limit:
-                            raise
-                        self.link_retries += 1
-                        yield self.sim.timeout(self.fault_retry_ns)
-                if parent is not None and _obs.TRACER.enabled:
                     # DMA-visible point: descriptors published, doorbell
                     # about to ring — the span's tail is doorbell cost.
                     _obs.TRACER.instant(
@@ -432,11 +367,13 @@ class UdpStack:
                                                      parent=parent)
             except BaseException:
                 # The caller observes this failure and owns any retry;
-                # leaving the frame journaled would make a later
-                # failover replay it a second time.
-                self._tx_journal.pop(index % (1 << 16), None)
+                # leaving the frames journaled would make a later
+                # failover replay them a second time.  The chunk's
+                # credits stay consumed with their reserved slots.
+                for index in journaled:
+                    self._tx_journal.pop(index % (1 << 16), None)
                 raise
-        self.datagrams_sent += 1
+        self.datagrams_sent += len(chunk)
 
     def resend_frame(self, frame: bytes):
         """Process: resubmit a journaled frame (post-failover path)."""
@@ -445,7 +382,7 @@ class UdpStack:
             # Correctness traffic: never refused, but accounted, so
             # discretionary hedges stand down behind the replay.
             self.budget.spend_forced(1.0)
-        yield from self._send_frame(frame)
+        yield from self._send_frames((frame,))
 
     def unfinished_tx(self) -> list:
         """Journaled frames with no observed TX completion, in order."""

@@ -174,7 +174,6 @@ class RemoteDeviceHandle:
                  fence_retry_limit: int = 64,
                  fence_backoff_base_ns: float = 500_000.0,
                  fence_backoff_cap_ns: float = 8_000_000.0,
-                 coalesce_doorbells: bool = True,
                  budget=None, pacer=None,
                  overload_retry_limit: int = OVERLOAD_RETRY_LIMIT):
         self.endpoint = endpoint
@@ -197,7 +196,6 @@ class RemoteDeviceHandle:
         # to the same queue fold into a pending max instead of each
         # paying a channel message — the devices already treat doorbell
         # writes as max().
-        self.coalesce_doorbells = coalesce_doorbells
         self._db_inflight: set[int] = set()
         self._db_pending: dict[int, int] = {}
         self.doorbells_requested = 0
@@ -448,7 +446,7 @@ class RemoteDeviceHandle:
         (fresh op through the server's journal).
         """
         self.doorbells_requested += 1
-        if self.coalesce_doorbells and queue_id in self._db_inflight:
+        if queue_id in self._db_inflight:
             pending = self._db_pending.get(queue_id)
             self._db_pending[queue_id] = (
                 index if pending is None else max(pending, index)

@@ -112,8 +112,8 @@ class PooledQueueClient:
     the device's ring registers at this generation's regions, then set
     ``_configured``), the hooks :meth:`_alloc_regions`,
     :meth:`_noop_entry` and optionally :meth:`_bind_output`, and its op
-    methods, built from :meth:`_pace_and_reserve`, :meth:`_stage`,
-    :meth:`_submit` and :meth:`_submit_burst`.
+    methods, built from :meth:`_pace_and_reserve`, :meth:`_submit` and
+    :meth:`_completion`.  A single op is a batch of one.
     """
 
     #: Device kind: names the client's spans and its trace track.
@@ -248,21 +248,6 @@ class PooledQueueClient:
         self._tail += count
         return first
 
-    def _stage(self, span, index: int, addr: int, data: bytes,
-               paced: bool):
-        """Process: copy the payload of the op reserved at ``index`` into
-        its pool buffer; a failed copy unwinds the op like a failed
-        burst of one, so its unwritten index cannot stall the doorbell
-        frontier."""
-        gen = self.generation
-        try:
-            t_link = self.sim.now
-            yield from self.mem.write(addr, data)
-            add_phase_ns(span, "ph_link_ns", self.sim.now - t_link)
-        except BaseException:
-            self._abandon_burst(index, 1, [], gen, paced)
-            raise
-
     def _journal(self, index: int, entry, span, paced: bool) -> _PendingOp:
         """Journal one entry under a fresh waiter; returns its op."""
         waiter = self.sim.event(name=f"{self.name}.{self.WAITER_STEM}{index}")
@@ -275,69 +260,55 @@ class PooledQueueClient:
         self.ops_submitted += 1
         return op
 
-    def _submit(self, index: int, entry, span, paced: bool):
-        """Process: journal, post and await one reserved entry; returns
-        ``(completion, op)``."""
-        # Journal before posting: a failover racing this submission will
-        # resubmit the op on the successor even if the post below never
-        # reached the dying owner.
-        op = self._journal(index, entry, span, paced)
-        try:
-            yield from self._post(index, entry, parent=span)
-        except BaseException:
-            # The caller observes this failure, so the op is not in
-            # flight: deregister it or the daemons would idle forever.
-            # This covers typed overload refusals (OverloadError,
-            # RetryBudgetExhausted) exactly like transport errors: a
-            # budget-denied post must de-journal its op id, or failover
-            # would replay an op whose caller already saw it fail.
-            self._dejournal(op)
-            raise
-        self._ensure_daemons()
-        t_device = self.sim.now
-        comp = yield op.waiter
-        add_phase_ns(op.span, "ph_device_ns", self.sim.now - t_device)
-        return comp, op
-
-    def _submit_burst(self, first: int, staged, span, paced: bool):
-        """Process: stage, journal and expose a reserved batch behind one
+    def _submit(self, first: int, staged, span, paced: bool):
+        """Process: copy, journal and expose a reserved batch behind one
         fence and one doorbell; returns its ops in submission order.
 
         ``staged`` holds one ``(buffer_addr, payload, entry)`` per index
-        from ``first``.  Every payload and ring entry is written first,
-        then one fence orders the batch and one forwarded doorbell
-        exposes it — N entries per channel message instead of one.  Each
-        op is journaled individually, so a failover mid-burst resubmits
-        only the unfinished ones.
+        from ``first``; a ``None`` payload (a read, a flush) copies
+        nothing.  Every payload is copied and its op journaled, then
+        :meth:`_post` writes the ring entries, fences once and rings one
+        forwarded doorbell — N entries per channel message instead of
+        one.  Each op is journaled individually, so a failover mid-batch
+        resubmits only the unfinished ones.  A failed write unwinds the
+        whole batch (:meth:`_abandon_burst`), so its unwritten indices
+        cannot stall the doorbell frontier.
         """
         ops: list[_PendingOp] = []
         gen = self.generation
         try:
             t_link = self.sim.now
             for offset, (addr, data, entry) in enumerate(staged):
-                yield from self.mem.write(addr, data)
-                # Journal before posting, like _submit: a failover
-                # racing the burst resubmits from the journal.
+                if data is not None:
+                    yield from self.mem.write(addr, data)
+                # Journal before posting: a failover racing the batch
+                # resubmits from the journal even if the post below
+                # never reached the dying owner.
                 ops.append(self._journal(first + offset, entry, span, paced))
             add_phase_ns(span, "ph_link_ns", self.sim.now - t_link)
-            t_queue = self.sim.now
-            for op in ops:
-                yield from self.mem.write(self._entry_addr(op.index),
-                                          op.entry.encode())
-            yield from self.mem.fence()
-            add_phase_ns(span, "ph_queueing_ns", self.sim.now - t_queue)
+            yield from self._post(ops, parent=span)
         except BaseException:
+            # The caller observes this failure, so the batch is not in
+            # flight.  This covers typed overload refusals
+            # (OverloadError, RetryBudgetExhausted) exactly like
+            # transport errors: a budget-denied post must de-journal its
+            # op ids, or failover would replay ops whose caller already
+            # saw them fail.
             self._abandon_burst(first, len(staged), ops, gen, paced)
             raise
-        if gen == self.generation:
-            self._expose(op.index for op in ops)
-            yield from self._ring(parent=span)
         self._ensure_daemons()
         return ops
 
+    def _completion(self, op: _PendingOp):
+        """Process: wait for ``op``'s completion entry and return it."""
+        t_device = self.sim.now
+        comp = yield op.waiter
+        add_phase_ns(op.span, "ph_device_ns", self.sim.now - t_device)
+        return comp
+
     def _abandon_burst(self, first: int, count: int, ops, gen: int,
                        paced: bool) -> None:
-        """Unwind a burst whose caller is about to see it fail."""
+        """Unwind a batch whose caller is about to see it fail."""
         # None of the batch is in flight: return every pacer slot it
         # claimed, journaled or not.
         for op in ops:
@@ -399,17 +370,19 @@ class PooledQueueClient:
     def _entry_addr(self, index: int) -> int:
         return self.sq_base + (index % self.n_entries) * self.ENTRY_BYTES
 
-    def _post(self, index: int, entry, parent=None):
-        """Process: write one ring entry and expose it via the doorbell."""
+    def _post(self, ops, parent=None):
+        """Process: write ``ops``' ring entries, fence once and expose
+        them via one doorbell."""
         gen = self.generation
         t_queue = self.sim.now
-        yield from self.mem.write(self._entry_addr(index), entry.encode())
+        for op in ops:
+            yield from self.mem.write(self._entry_addr(op.index),
+                                      op.entry.encode())
         yield from self.mem.fence()
-        if parent is not None and hasattr(parent, "set"):
-            add_phase_ns(parent, "ph_queueing_ns", self.sim.now - t_queue)
+        add_phase_ns(parent, "ph_queueing_ns", self.sim.now - t_queue)
         if gen != self.generation:
             return  # superseded mid-post; failover resubmits from journal
-        self._expose((index,))
+        self._expose(op.index for op in ops)
         yield from self._ring(parent=parent)
 
     def _expose(self, indices) -> bool:
@@ -442,9 +415,9 @@ class PooledQueueClient:
             pass
 
     def _neutralize_abandoned(self, first: int, count: int, gen: int):
-        """Process: unwedge the doorbell frontier after a failed burst.
+        """Process: unwedge the doorbell frontier after a failed batch.
 
-        The failed burst's indices were reserved but never entered
+        The failed batch's indices were reserved but never entered
         ``_sq_written``, so ``_sq_ready`` would stall at ``first``
         forever while later submitters' entries sit unexposed.  Fill the
         abandoned ring slots with :meth:`_noop_entry` — the device
@@ -727,8 +700,7 @@ class PooledQueueClient:
                 op.submitted_ns = self.sim.now
                 self._bind_output(op)
                 self._pending[index % _INDEX_SPACE] = op
-                yield from self._post(index, op.entry,
-                                      parent=op.span or span)
+                yield from self._post((op,), parent=op.span or span)
             self.resubmitted += len(ops)
             if ops:
                 _obs.METRICS.counter(self.METRIC_RESUBMITTED).inc(len(ops))

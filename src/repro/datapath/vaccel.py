@@ -111,10 +111,10 @@ class RemoteAcceleratorClient(PooledQueueClient):
         try:
             index, paced = yield from self._pace_and_reserve(span)
             in_addr = self._input(index)
-            yield from self._stage(span, index, in_addr, data, paced)
-            comp, op = yield from self._submit(
-                index, Descriptor(in_addr, len(data), flags=kernel),
-                span, paced)
+            desc = Descriptor(in_addr, len(data), flags=kernel)
+            (op,) = yield from self._submit(index, ((in_addr, data, desc),),
+                                            span, paced)
+            comp = yield from self._completion(op)
             result = yield from self._read_result(span, comp, op)
         finally:
             _obs.TRACER.end(span, self.sim.now)
@@ -148,12 +148,10 @@ class RemoteAcceleratorClient(PooledQueueClient):
                 in_addr = self._input(first + offset)
                 staged.append((in_addr, data,
                                Descriptor(in_addr, len(data), flags=kernel)))
-            ops = yield from self._submit_burst(first, staged, span, paced)
+            ops = yield from self._submit(first, staged, span, paced)
             results = []
             for op in ops:
-                t_device = self.sim.now
-                comp = yield op.waiter
-                add_phase_ns(span, "ph_device_ns", self.sim.now - t_device)
+                comp = yield from self._completion(op)
                 results.append(
                     (yield from self._read_result(span, comp, op)))
             return results

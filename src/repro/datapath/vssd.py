@@ -85,10 +85,11 @@ class RemoteSsdClient(PooledQueueClient):
         try:
             index, paced = yield from self._pace_and_reserve(span)
             buf = self._buffer(index)
-            yield from self._stage(span, index, buf, data, paced)
-            comp, _op = yield from self._submit(index, NvmeCommand(
-                NvmeCommand.OP_WRITE, len(data), lba=lba, buffer_addr=buf,
-            ), span, paced)
+            cmd = NvmeCommand(NvmeCommand.OP_WRITE, len(data), lba=lba,
+                              buffer_addr=buf)
+            (op,) = yield from self._submit(index, ((buf, data, cmd),),
+                                            span, paced)
+            comp = yield from self._completion(op)
         finally:
             _obs.TRACER.end(span, self.sim.now)
         return comp.status
@@ -126,13 +127,11 @@ class RemoteSsdClient(PooledQueueClient):
                     NvmeCommand.OP_WRITE, len(data),
                     lba=lba, buffer_addr=buf,
                 )))
-            ops = yield from self._submit_burst(first, staged, span, paced)
+            ops = yield from self._submit(first, staged, span, paced)
             statuses = []
-            t_device = self.sim.now
             for op in ops:
-                comp = yield op.waiter
+                comp = yield from self._completion(op)
                 statuses.append(comp.status)
-            add_phase_ns(span, "ph_device_ns", self.sim.now - t_device)
             return statuses
         finally:
             _obs.TRACER.end(span, self.sim.now)
@@ -147,9 +146,11 @@ class RemoteSsdClient(PooledQueueClient):
         try:
             index, paced = yield from self._pace_and_reserve(span)
             buf = self._buffer(index)
-            comp, _op = yield from self._submit(index, NvmeCommand(
-                NvmeCommand.OP_READ, length, lba=lba, buffer_addr=buf,
-            ), span, paced)
+            cmd = NvmeCommand(NvmeCommand.OP_READ, length, lba=lba,
+                              buffer_addr=buf)
+            (op,) = yield from self._submit(index, ((buf, None, cmd),),
+                                            span, paced)
+            comp = yield from self._completion(op)
             if comp.status != CompletionEntry.STATUS_OK:
                 raise IOError(
                     f"{self.name}: read failed (status={comp.status})"
@@ -168,9 +169,10 @@ class RemoteSsdClient(PooledQueueClient):
         )
         try:
             index, paced = yield from self._pace_and_reserve(span)
-            comp, _op = yield from self._submit(index, NvmeCommand(
-                NvmeCommand.OP_FLUSH, 0, lba=0, buffer_addr=0,
-            ), span, paced)
+            cmd = NvmeCommand(NvmeCommand.OP_FLUSH, 0, lba=0, buffer_addr=0)
+            (op,) = yield from self._submit(index, ((None, None, cmd),),
+                                            span, paced)
+            comp = yield from self._completion(op)
         finally:
             _obs.TRACER.end(span, self.sim.now)
         return comp.status

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.channel.ring import (
     SLOT_PAYLOAD_BYTES,
     RingChannel,
-    RingFullError,
     RingLayout,
     SlotCorruptionError,
 )
@@ -91,24 +90,6 @@ def test_sender_blocks_when_ring_full_then_resumes():
     # First two sends are immediate; the rest waited for the receiver.
     assert sent_times[1] < 10_000.0
     assert sent_times[2] > 100_000.0
-
-
-def test_try_send_raises_when_full():
-    sim, _pod, ring = make_ring(n_slots=2)
-
-    def sender(sim):
-        yield from ring.sender.send(b"a")
-        yield from ring.sender.send(b"b")
-        try:
-            yield from ring.sender.try_send(b"c")
-        except RingFullError:
-            return "full"
-        return "sent"
-
-    p = sim.spawn(sender(sim))
-    sim.run(until=p)
-    sim.run()
-    assert p.value == "full"
 
 
 def test_oversized_payload_rejected():

@@ -123,3 +123,41 @@ def test_demoted_burst_costs_like_singles():
     pb = sim_b.spawn(burst(sim_b, ring_b))
     sim_b.run(until=pb)
     assert pb.value == pa.value
+
+
+def _stalls_behind_a_slow_receiver(send, degraded):
+    """Ring-full stalls noted while seven payloads go through a 2-slot
+    ring whose receiver takes one slot every 20 us."""
+    sim, _pod, ring = make_ring(n_slots=2)
+    ring.sender.degraded = degraded
+    payloads = [bytes([i]) for i in range(7)]
+
+    def receiver():
+        for _ in payloads:
+            yield sim.timeout(20_000.0)
+            yield from ring.receiver.try_recv()
+
+    p = sim.spawn(send(ring.sender, payloads))
+    sim.spawn(receiver())
+    sim.run(until=p)
+    return ring.sender.full_events
+
+
+def _singles(sender, payloads):
+    for payload in payloads:
+        yield from sender.send(payload)
+
+
+def _burst(sender, payloads):
+    yield from sender.send_burst(payloads)
+
+
+def test_demoted_burst_counts_ring_full_stalls_like_singles():
+    """A burst notes one ring-full stall however many chunks wait; a
+    demoted burst sends one slot per chunk and notes a stall per slot
+    that waits, exactly as single sends do (brownout reads the ring's
+    stall counters)."""
+    singles = _stalls_behind_a_slow_receiver(_singles, degraded=False)
+    assert singles == 5
+    assert _stalls_behind_a_slow_receiver(_burst, degraded=True) == singles
+    assert _stalls_behind_a_slow_receiver(_burst, degraded=False) == 1

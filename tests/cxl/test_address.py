@@ -67,12 +67,20 @@ def test_address_range_validation():
         AddressRange(0, 0)
 
 
+def _bytes_per_link(imap, addr, size):
+    totals = {}
+    for link, _chunk_addr, chunk_size in imap.split(addr, size):
+        totals[link] = totals.get(link, 0) + chunk_size
+    return totals
+
+
 def test_interleave_round_robin_at_256B():
     imap = InterleaveMap(4)
-    assert imap.link_for(0) == 0
-    assert imap.link_for(255) == 0
-    assert imap.link_for(256) == 1
-    assert imap.link_for(1024) == 0  # wraps after 4 blocks
+    assert imap.split(0, 256) == [(0, 0, 256)]
+    assert imap.split(255, 2) == [(0, 255, 1), (1, 256, 1)]
+    # Block k goes to link k mod 4: the fifth block wraps to link 0.
+    assert [link for link, _, _ in imap.split(0, 5 * 256)] == [0, 1, 2, 3, 0]
+    assert imap.split(1024, 64) == [(0, 1024, 64)]
 
 
 def test_interleave_split_preserves_total_size():
@@ -88,14 +96,14 @@ def test_interleave_split_preserves_total_size():
 
 def test_interleave_bytes_per_link_balances_large_transfers():
     imap = InterleaveMap(4)
-    totals = imap.bytes_per_link(0, 64 * 1024)
+    totals = _bytes_per_link(imap, 0, 64 * 1024)
     assert set(totals) == {0, 1, 2, 3}
     assert max(totals.values()) - min(totals.values()) <= 256
 
 
 def test_interleave_single_link_takes_all():
     imap = InterleaveMap(1)
-    assert imap.bytes_per_link(0, 4096) == {0: 4096}
+    assert _bytes_per_link(imap, 0, 4096) == {0: 4096}
 
 
 def test_interleave_validation():

@@ -136,7 +136,11 @@ class LinePod(CxlPod):
 
     def span_bytes_per_link(self, offset, size):
         if offset + size <= self.interleaved_capacity:
-            return self.interleave.bytes_per_link(offset, size)
+            totals = {}
+            for link, _chunk_off, chunk_size in self.interleave.split(
+                    offset, size):
+                totals[link] = totals.get(link, 0) + chunk_size
+            return totals
         return {self._ras_span_index(offset, size): size}
 
     def _ras_span_index(self, offset, size):

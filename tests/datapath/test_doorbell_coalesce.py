@@ -89,20 +89,6 @@ def test_sequential_doorbells_do_not_coalesce(setup):
     teardown(sim, eps)
 
 
-def test_coalescing_can_be_disabled(setup):
-    sim, pod, nic, server, handle, eps = setup
-    handle.coalesce_doorbells = False
-
-    procs = [sim.spawn(handle.ring_doorbell(TX_QUEUE, i + 1))
-             for i in range(8)]
-    for p in procs:
-        sim.run(until=p)
-    sim.run(until=sim.timeout(200_000.0))
-    assert handle.doorbells_forwarded == 8
-    assert handle.doorbells_coalesced == 0
-    teardown(sim, eps)
-
-
 def test_distinct_queues_do_not_merge(setup):
     """Coalescing is per-queue: concurrent doorbells to different
     queues must each reach the device."""

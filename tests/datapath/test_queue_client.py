@@ -56,15 +56,25 @@ class Rig:
                else RemoteAcceleratorClient)
         self.client = cls(self.sim, pod.host("h1"), handle, pod, "h0")
         self.kind = kind
+        #: Set to lose the next write into the submission ring.
+        self.lose_next_entry = False
         real_write = self.client.mem.write
 
         def flaky_write(addr, data):
+            if self.lose_next_entry and self._in_sq(addr):
+                self.lose_next_entry = False
+                data = POISON
             if data == POISON:
                 yield self.sim.timeout(100.0)
                 raise InjectedFault("buffer write lost")
             yield from real_write(addr, data)
 
         self.client.mem.write = flaky_write
+
+    def _in_sq(self, addr):
+        client = self.client
+        return (client.sq_base <= addr
+                < client.sq_base + client.n_entries * client.ENTRY_BYTES)
 
     def burst(self):
         """Process: the burst whose third buffer write fails."""
@@ -163,31 +173,41 @@ def test_failed_burst_neutralizes_slots_a_concurrent_op_waits_behind(kind):
     rig.close()
 
 
-def _failing_single(rig):
-    """Process: one op whose payload copy fails."""
+def _failing_single(rig, payload):
+    """Process: one op whose payload copy or ring-entry write fails."""
     try:
         if rig.kind == "write_burst":
-            yield from rig.client.write(0, POISON)
+            yield from rig.client.write(0, payload)
         else:
-            yield from rig.client.run_job(KERNEL_COMPRESS, POISON)
+            yield from rig.client.run_job(KERNEL_COMPRESS, payload)
     except InjectedFault:
         return "unwound"
     return "no-error"
 
 
-@pytest.mark.parametrize("kind", ["write_burst", "run_jobs"])
-def test_failed_single_op_copy_does_not_stall_a_later_op(kind):
-    """A single op reserves its index before it copies its payload, so a
-    copy that fails leaves a reserved index no doorbell will expose.  It
-    must unwind like a failed burst of one, or the doorbell frontier
-    stalls there and an op reserved after it waits for the op-timeout
-    failover."""
+@pytest.mark.parametrize("kind, lost", [
+    pytest.param("write_burst", "payload", id="write_burst"),
+    pytest.param("run_jobs", "payload", id="run_jobs"),
+    pytest.param("write_burst", "entry", id="write_burst-entry"),
+    pytest.param("run_jobs", "entry", id="run_jobs-entry"),
+])
+def test_failed_single_op_copy_does_not_stall_a_later_op(kind, lost):
+    """A single op reserves its index before it copies its payload and
+    writes its ring entry, so either write failing leaves a reserved
+    index no doorbell will expose.  It must unwind like a failed burst
+    of one, or the doorbell frontier stalls there and an op reserved
+    after it waits for the op-timeout failover."""
     rig = Rig(kind)
     client = rig.client
     results = {}
 
     def failing():
-        results["failing"] = yield from _failing_single(rig)
+        if lost == "payload":
+            payload = POISON
+        else:
+            rig.lose_next_entry = True
+            payload = PAYLOADS[0]
+        results["failing"] = yield from _failing_single(rig, payload)
 
     def single():
         yield rig.sim.timeout(50.0)      # reserves while the copy runs
@@ -206,6 +226,7 @@ def test_failed_single_op_copy_does_not_stall_a_later_op(kind):
     p = rig.sim.spawn(proc())
     rig.sim.run(until=p)
     assert results["failing"] == "unwound"
+    assert not rig.lose_next_entry      # the failing op's entry was lost
     assert results["single_index"] == 1
     assert results["single"] is True
     assert client.failovers == 0 and client.op_timeouts == 0
