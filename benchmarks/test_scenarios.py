@@ -1,42 +1,49 @@
 """Scenario matrix: every checked-in runbook, every cell, all invariants.
 
-The three hand-written soaks (``test_chaos.py``, ``test_gray_chaos.py``,
-``test_overload_soak.py``) are also checked in as declarative runbooks
-(``repro/scenarios/runbooks/``).  This benchmark expands each runbook
-into its matrix, runs every cell on the sim kernel under the always-on
-invariant auditors, and gates on all of them passing — then re-runs one
-cell per runbook to prove same-seed determinism (bit-identical fault
-logs).
+The runbooks (``repro/scenarios/runbooks/``) are the repo's only soak
+harness: chaos (fail-stop campaign), gray (fail-slow MHD and stalled
+agent), overload (open-loop 2x/3x load), lease (owner death mid-I/O)
+and ras (MHD loss at lambda=1, degraded mode at lambda=0).  This
+benchmark expands each runbook into its matrix, runs every cell on the
+sim kernel under the always-on invariant auditors, and gates on every
+auditor and every expect, relative expects included — then re-runs
+every cell in two worker processes to prove same-seed determinism
+(bit-identical fault logs, summaries and verdicts) and that a parallel
+matrix merges identically to a serial one.
 
-``CHAOS_SEED`` overrides the seed axis for the gray and overload
-runbooks (their fault schedules are pinned explicitly, so any seed must
-pass); the chaos runbook keeps its own seed — its campaign is *drawn*,
-and seed 11 is the schedule the original soak's assertions were
-calibrated against.
+``CHAOS_SEED`` overrides the seed axis for the gray, overload and lease
+runbooks: their pinned faults and drawn partitions must hold at any
+seed.  The chaos and ras runbooks keep their own seeds (11 and 23):
+their campaigns are *drawn*, and those are the schedules their pinned
+faults and expects were written against.
 
-Emits ``BENCH_scenarios.json`` and ``SCEN_matrix.md`` (the aggregated
-EXPERIMENTS.md-style table) for CI to archive.
+Emits ``BENCH_scenarios.json`` (every cell's summary) and
+``SCEN_matrix.md`` (the aggregated EXPERIMENTS.md-style table) for CI
+to archive.
 """
 
 import json
 import os
 
-from repro.scenarios import resolve_runbook, run_cell, run_matrix
+from repro.scenarios import resolve_runbook, run_matrix
 
 from .conftest import banner, run_once
 
 SEED = os.environ.get("CHAOS_SEED")
 
 #: runbook name -> does CHAOS_SEED override its seed axis?
-RUNBOOKS = {"chaos": False, "gray": True, "overload": True}
+RUNBOOKS = {"chaos": False, "gray": True, "overload": True, "lease": True,
+            "ras": False}
 
 
-def run_all_matrices():
-    results = {}
-    for name, reseedable in RUNBOOKS.items():
-        seeds = [int(SEED)] if (SEED and reseedable) else None
-        results[name] = run_matrix(resolve_runbook(name), seeds=seeds)
-    return results
+def _seeds(name):
+    return [int(SEED)] if (SEED and RUNBOOKS[name]) else None
+
+
+def run_all_matrices(workers=1):
+    return {name: run_matrix(resolve_runbook(name), seeds=_seeds(name),
+                             workers=workers)
+            for name in RUNBOOKS}
 
 
 def test_scenario_matrices(benchmark):
@@ -55,18 +62,13 @@ def test_scenario_matrices(benchmark):
                 f"expect_failures={cell.expect_failures} "
                 f"error={cell.error}")
 
-    # Same-seed determinism: one cell per runbook re-runs bit-identical.
-    for name, matrix in results.items():
-        first = matrix.cells[0]
-        runbook = resolve_runbook(name)
-        cell = next(c for c in runbook.expand(
-            seeds=[first.seed]) if c.cell_id == first.cell_id)
-        rerun = run_cell(cell, label=name)
-        assert rerun.signature == first.signature, name
-        assert rerun.events == first.events, name
-        assert rerun.summary == first.summary, name
-        print(f"determinism: {name}/{first.cell_id} rerun bit-identical "
-              f"(sig {first.signature[:16]}…)")
+    # Same-seed determinism: every cell re-runs bit-identical (fault
+    # log, summary, verdicts), in a process pool, so a parallel matrix
+    # must also merge identically to the serial one.
+    for name, rerun in run_all_matrices(workers=2).items():
+        assert rerun.to_dict() == results[name].to_dict(), name
+        print(f"determinism: {name} reran {len(rerun.cells)} cells "
+              "bit-identical in 2 worker processes")
 
     payload = {
         "chaos_seed": SEED,

@@ -19,7 +19,6 @@ Structure per stack instance:
 from __future__ import annotations
 
 import struct
-from typing import Optional
 
 from repro.channel.rpc import RpcError
 from repro.cxl.link import LinkDownError
@@ -83,10 +82,9 @@ class UdpStack:
     """Userspace UDP over one NIC queue pair."""
 
     def __init__(self, sim, memsys, handle, driver_mem: DriverMemory,
-                 mac: int, n_desc: int = 64, buf_bytes: int = 10240,
+                 mac: int, tx_hint: Store, rx_hint: Store,
+                 n_desc: int = 64, buf_bytes: int = 10240,
                  poll_ns: float = 100.0, name: str = "udp-stack",
-                 tx_hint: Optional[Store] = None,
-                 rx_hint: Optional[Store] = None,
                  sw_overhead_ns: float = 1800.0,
                  hedge_tx_deadline_ns: float = HEDGE_TX_DEADLINE_NS,
                  budget=None):
@@ -99,8 +97,8 @@ class UdpStack:
         self.handle = handle
         self.mem = driver_mem
         self.mac = mac
-        # Optional completion hints (see Nic.tx_cq_hint): when provided,
-        # pollers sleep until a completion lands instead of spinning.
+        # The NIC's completion hints (see Nic.tx_cq_hint): pollers sleep
+        # until a completion lands instead of spinning.
         self._tx_hint = tx_hint
         self._rx_hint = rx_hint
         # Per-datagram software cost outside the memory system: protocol
@@ -623,15 +621,13 @@ class UdpStack:
 
     # -- shared CQ polling -------------------------------------------------------------------
 
-    def _poll_cq(self, cq_base: int, head: int,
-                 hint: Optional[Store] = None):
+    def _poll_cq(self, cq_base: int, head: int, hint: Store):
         expect = seq_for_pass(head // self.n_desc)
         addr = cq_base + (head % self.n_desc) * COMPLETION_BYTES
-        if hint is not None:
-            # Hint-driven: sleep until a completion lands, then read it.
-            # Observes the same memory state as a poller, minus the
-            # simulated cost of idle poll iterations.
-            yield hint.get()
+        # Hint-driven: sleep until a completion lands, then read it.
+        # Observes the same memory state as a poller, minus the
+        # simulated cost of idle poll iterations.
+        yield hint.get()
         while True:
             try:
                 raw = yield from self.mem.read(addr, COMPLETION_BYTES)

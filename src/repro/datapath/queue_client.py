@@ -266,25 +266,34 @@ class PooledQueueClient:
 
         ``staged`` holds one ``(buffer_addr, payload, entry)`` per index
         from ``first``; a ``None`` payload (a read, a flush) copies
-        nothing.  Every payload is copied and its op journaled, then
-        :meth:`_post` writes the ring entries, fences once and rings one
-        forwarded doorbell — N entries per channel message instead of
-        one.  Each op is journaled individually, so a failover mid-batch
-        resubmits only the unfinished ones.  A failed write unwinds the
-        whole batch (:meth:`_abandon_burst`), so its unwritten indices
-        cannot stall the doorbell frontier.
+        nothing.  Every payload is copied and then every op journaled,
+        then :meth:`_post` writes the ring entries, fences once and
+        rings one forwarded doorbell — N entries per channel message
+        instead of one.  Each op is journaled individually, so a
+        failover mid-batch resubmits only the unfinished ones.  A
+        failover that starts during the copies rebuilt the rings under
+        the batch, so it waits that failover out and reserves afresh on
+        the successor's ring: ops are journaled and posted under indices
+        of the generation they are posted in.  A failed write unwinds
+        the whole batch (:meth:`_abandon_burst`), so its unwritten
+        indices cannot stall the doorbell frontier.
         """
         ops: list[_PendingOp] = []
         gen = self.generation
         try:
             t_link = self.sim.now
-            for offset, (addr, data, entry) in enumerate(staged):
+            for addr, data, _entry in staged:
                 if data is not None:
                     yield from self.mem.write(addr, data)
-                # Journal before posting: a failover racing the batch
-                # resubmits from the journal even if the post below
-                # never reached the dying owner.
-                ops.append(self._journal(first + offset, entry, span, paced))
+            if gen != self.generation:
+                while self._failing_over is not None:
+                    yield self._failing_over
+                first, gen = self._reserve(len(staged)), self.generation
+            # Journal before posting: a failover racing the post
+            # resubmits from the journal even if the post below never
+            # reached the dying owner.
+            ops.extend(self._journal(first + offset, entry, span, paced)
+                       for offset, (_addr, _data, entry) in enumerate(staged))
             add_phase_ns(span, "ph_link_ns", self.sim.now - t_link)
             yield from self._post(ops, parent=span)
         except BaseException:

@@ -36,6 +36,7 @@ from repro.faults.spec import (
     MhdSlow,
     OrchestratorCrash,
     OverloadStorm,
+    OwnerKill,
 )
 
 __all__ = [
@@ -59,4 +60,5 @@ __all__ = [
     "MhdSlow",
     "OrchestratorCrash",
     "OverloadStorm",
+    "OwnerKill",
 ]

@@ -30,6 +30,7 @@ from repro.faults.spec import (
     MhdSlow,
     OrchestratorCrash,
     OverloadStorm,
+    OwnerKill,
 )
 
 
@@ -170,6 +171,28 @@ class FaultInjector:
         self.pool.restart_agent(host_id)
         self._record("AgentCrash", f"agent:{host_id}", "restart")
 
+    def kill_owner(self, borrower_host: str, device_kind: str) -> str:
+        """Partition the owner of ``borrower_host``'s ``device_kind``
+        device, crash its agent and crash the device; returns the owner
+        host.
+
+        The device is resolved now, from the orchestrator's assignment
+        table (the lowest virtual id if the borrower holds several).
+        """
+        device_id = next(
+            (device for _vid, (borrower, k, device)
+             in sorted(self.pool.orchestrator.assignment_table().items())
+             if borrower == borrower_host and k == device_kind), None)
+        if device_id is None:
+            raise LookupError(
+                f"OwnerKill: {borrower_host} holds no {device_kind} "
+                "assignment")
+        owner = self.pool.owner_of(device_id)
+        self.partition_host(owner)
+        self.crash_agent(owner)
+        self.crash_device(device_id)
+        return owner
+
     def crash_orchestrator(self) -> None:
         self.pool.crash_orchestrator()
         self._record("OrchestratorCrash", "orchestrator", "crash")
@@ -256,6 +279,10 @@ class FaultInjector:
         elif isinstance(fault, OverloadStorm):
             self.overload_storm(fault.borrower_host, fault.device_id,
                                 fault.duration_ns, fault.depth)
+        elif isinstance(fault, OwnerKill):
+            owner = self.kill_owner(fault.borrower_host, fault.device_kind)
+            yield self.sim.timeout(fault.down_ns)
+            self.heal_partition(owner)
         else:
             raise TypeError(f"unknown fault spec {fault!r}")
 

@@ -205,10 +205,29 @@ class OverloadStorm:
     depth: int = 32
 
 
+@dataclass(frozen=True)
+class OwnerKill:
+    """The owner of a borrower's device dies mid-I/O, all at once.
+
+    Aimed at fire time, since earlier faults may already have moved the
+    assignment: the device is the one behind ``borrower_host``'s
+    assignment of ``device_kind`` (``"nic"``, ``"ssd"`` or
+    ``"accelerator"``).  Its owner host is partitioned for
+    ``down_ns``, its agent crashes and the device crashes, all in the
+    same instant, so the only detection path left is the lease lapsing
+    on the shared clock.  The agent and the device stay dead.
+    """
+
+    borrower_host: str
+    device_kind: str
+    at_ns: float
+    down_ns: float
+
+
 Fault = Union[DeviceCrash, DeviceFlap, LinkFlap, AgentCrash,
               OrchestratorCrash, MhdCrash, MhdDegrade, MemPoison,
               HostPartition, LeaseExpire, MhdSlow, LinkDegrade,
-              AgentStall, OverloadStorm]
+              AgentStall, OverloadStorm, OwnerKill]
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,8 @@ behind it — must be treated as unreachable).
 Named counters and gauges live on a typed
 :class:`~repro.obs.metrics.MetricsRegistry` rather than the old shared
 string-keyed float dict, so a name can no longer be silently used as
-both a counter and a gauge.  ``counter()`` / ``counters`` remain as
-deprecated read-only views over both kinds.
+both a counter and a gauge.  Read them through
+``board.metrics.value(name)``.
 """
 
 from __future__ import annotations
@@ -70,19 +70,6 @@ class TelemetryBoard:
     def set_gauge(self, name: str, value: float) -> None:
         """Set a named gauge to an absolute value."""
         self.metrics.gauge(name).set(value)
-
-    def counter(self, name: str) -> float:
-        """Deprecated: scalar read over counters *and* gauges.
-
-        Kept for callers written against the old untyped dict; new code
-        should go through :attr:`metrics`.
-        """
-        return self.metrics.value(name)
-
-    @property
-    def counters(self) -> dict[str, float]:
-        """Deprecated: merged read-only {name: value} snapshot."""
-        return self.metrics.scalars()
 
     # -- devices ---------------------------------------------------------
 

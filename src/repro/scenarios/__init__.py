@@ -1,6 +1,6 @@
 """Declarative chaos-runbook harness (DESIGN.md §14).
 
-``repro.scenarios`` turns the hand-written soak pattern into config:
+``repro.scenarios`` is the repo's soak harness, with soaks as config:
 
 * :mod:`~repro.scenarios.schema` — runbooks: pod shape x workload x
   chaos campaign x policy knobs, dict/JSON-loadable, matrix-expanded

@@ -1,9 +1,9 @@
 """Always-on invariant auditors: asserted for every matrix cell.
 
-The hand-written soaks each asserted a hand-picked subset of the pod's
-safety properties.  The scenario harness inverts that: every cell, no
-matter what its runbook varies, is audited against *all* of these —
-the properties are invariants of the pool, not of a particular test.
+A hand-written soak asserts a hand-picked subset of the pod's safety
+properties.  The scenario harness inverts that: every cell, no matter
+what its runbook varies, is audited against *all* of these — the
+properties are invariants of the pool, not of a particular test.
 
 Auditors see an :class:`AuditContext` and hook three points of the cell
 timeline:
@@ -20,10 +20,11 @@ interleaved with the system under test, so a mutating auditor would be
 a heisenbug factory.
 
 Each auditor is mutation-tested (``tests/scenarios/test_invariants.py``):
-a seeded violation — counterfeit budget tokens, a double completion, a
-second unfenced lease holder, an unaccounted poison, a phantom pacer
-slot, a silenced ring wake-up, a silenced CQ line watch — must trip
-exactly the auditor that owns the property.
+a seeded violation — counterfeit budget tokens, a double completion, an
+open-loop arrival neither admitted nor shed, a second unfenced lease
+holder, an unaccounted poison, a phantom pacer slot, a silenced ring
+wake-up, a silenced CQ line watch — must trip exactly the auditor that
+owns the property.
 """
 
 from __future__ import annotations
@@ -58,9 +59,11 @@ class ExactlyOnceAuditor(InvariantAuditor):
     Client-side ledgers (submitted/completed counters, pending tables)
     must reconcile after recovery: the owner-side dedup journal makes
     failover replays idempotent, so a completed op is completed *once*
-    even when it was physically submitted twice.  Netstack workloads
-    check the datagram multiset: everything sent arrives at its peer
-    exactly once, no loss, no duplication.
+    even when it was physically submitted twice.  An open-loop ledger
+    accounts for every arrival: each one was admitted or shed at the
+    client edge.  Netstack workloads check the datagram multiset:
+    everything sent arrives at its peer exactly once, no loss, no
+    duplication.
     """
 
     name = "exactly_once"
@@ -80,6 +83,10 @@ class ExactlyOnceAuditor(InvariantAuditor):
                 violations.append(self._v(
                     f"{label}: observed {ledger.returns} op returns, "
                     f"expected {ledger.expected_returns}"))
+            if ledger.offered != ledger.admitted + ledger.shed:
+                violations.append(self._v(
+                    f"{label}: offered {ledger.offered} != admitted "
+                    f"{ledger.admitted} + shed {ledger.shed}"))
             if sorted(ledger.received) != sorted(ledger.sent_to_me):
                 violations.append(self._v(
                     f"{label}: received datagrams != sent "

@@ -37,14 +37,15 @@ from dataclasses import dataclass, field
 
 from repro.core import PciePool
 from repro.channel.ring import RingSaturatedError
-from repro.channel.rpc import RetryBudgetExhausted
+from repro.channel.rpc import RetryBudgetExhausted, RpcEndpoint
 from repro.faults import ChaosCampaign, FaultInjector, FaultLog
-from repro.faults.spec import FaultSchedule
+from repro.faults.spec import AgentStall, FaultSchedule, MhdSlow
 from repro.health import OverloadError
 from repro.obs import names as _names
 from repro.obs import runtime as _obs
 from repro.pcie.accelerator import AcceleratorSpec
 from repro.pcie.nic import NicSpec
+from repro.pcie.rings import CompletionEntry
 from repro.pcie.ssd import SsdSpec
 from repro.scenarios import invariants as _invariants
 from repro.scenarios.schema import (
@@ -67,6 +68,11 @@ _NETSTACK_PORT = 7
 #: Errors an open-loop driver counts as shed load, not test failure.
 _SHED_ERRORS = (OverloadError, RetryBudgetExhausted, RingSaturatedError)
 
+#: A gray fault's window runs from its onset to its detection plus this
+#: margin (re-homing and lease run-out); ops that overlap no window are
+#: summarized as ``clear``.
+_CONTAIN_MARGIN_NS = 100_000_000.0
+
 
 def consume_failed_cells() -> list:
     """Drain and return the failed-cell registry (conftest hook)."""
@@ -88,6 +94,9 @@ class WorkloadLedger:
     errors: int = 0             # typed overload errors (shed server-side)
     shed: int = 0               # client-edge queue-limit rejections
     expected_returns: int = 0   # what `returns` must reach for exactly-once
+    in_window: int = 0          # ok ops that completed inside the load window
+    load_ns: float = 0.0        # first op to last arrival (open) or return
+    starts: list = field(default_factory=list)      # per latency sample
     latencies: list = field(default_factory=list)
     sent: list = field(default_factory=list)        # netstack payloads out
     sent_to_me: list = field(default_factory=list)  # payloads aimed at us
@@ -153,19 +162,31 @@ def _build_fault(fd: dict, devices: list):
     return FAULT_KINDS[kind](**kwargs)
 
 
+def _write(client, lba, data):
+    """Process: one vSSD write; a completion with an error status is a
+    failure of the cell, not a completed op."""
+    status = yield from client.write(lba, data)
+    if status != CompletionEntry.STATUS_OK:
+        raise IOError(f"{client.name}: write failed (status={status})")
+
+
 def _drive_closed(sim, workload, client, ledger):
     """Closed-loop vssd/vaccel driver (the gray-soak workload shape)."""
     yield from client.setup()
     data = b"s" * workload.io_bytes
     ledger.expected_returns = workload.ops
+    t_load = sim.now
     for i in range(workload.ops):
         t0 = sim.now
         if workload.driver == "vssd":
-            yield from client.write((i % 64) * 8, data)
+            yield from _write(client, (i % 64) * 8, data)
         else:
             yield from client.run_job(1, data)
         ledger.returns += 1
         ledger.ok += 1
+        ledger.in_window += 1
+        ledger.load_ns = sim.now - t_load
+        ledger.starts.append(t0)
         ledger.latencies.append(sim.now - t0)
         if workload.gap_ns > 0:
             yield sim.timeout(workload.gap_ns)
@@ -178,7 +199,8 @@ def _drive_open(sim, workload, client, ledger, spawned):
     ``queue_limit`` in-flight ops new arrivals are shed at the client
     edge (counted, never queued).  Typed overload errors from admitted
     ops count as server-side shed — any other exception is a real
-    failure and propagates.
+    failure and propagates.  The load window closes with the arrivals;
+    only ops that complete inside it count towards goodput.
     """
     yield from client.setup()
     data = b"o" * workload.io_bytes
@@ -189,11 +211,14 @@ def _drive_open(sim, workload, client, ledger, spawned):
     def one_op(lba):
         t0 = sim.now
         try:
-            yield from client.write(lba, data)
+            yield from _write(client, lba, data)
         except _SHED_ERRORS:
             ledger.errors += 1
         else:
             ledger.ok += 1
+            if sim.now - t_load <= workload.duration_ns:
+                ledger.in_window += 1
+            ledger.starts.append(t0)
             ledger.latencies.append(sim.now - t0)
         finally:
             inflight["n"] -= 1
@@ -211,6 +236,7 @@ def _drive_open(sim, workload, client, ledger, spawned):
                                      name=f"scen-op.{i}"))
         i += 1
         yield sim.timeout(interarrival)
+    ledger.load_ns = sim.now - t_load
     ledger.expected_returns = ledger.admitted
 
 
@@ -308,11 +334,13 @@ def run_cell(cell: Cell, label: str = "scenario",
     if vnics:
         sim.run(until=sim.spawn(bring_up(), name="scen-bring-up"))
 
+    capped = []
     for pc in spec.policy.path_caps:
         device_id = devices[pc.device].device_id
         pool.handle_for(pc.borrower, device_id)
         owner = pool.owner_of(device_id)
-        pool._device_servers[(owner, pc.borrower)][2].max_inflight = pc.cap
+        capped.append(pool._device_servers[(owner, pc.borrower)][2])
+        capped[-1].max_inflight = pc.cap
 
     # -- auditors -------------------------------------------------------
     log = FaultLog()
@@ -348,7 +376,8 @@ def run_cell(cell: Cell, label: str = "scenario",
         cfg = spec.campaign.chaos_config(spec.duration_ns)
         faults.extend(ChaosCampaign(pool, cfg,
                                     stream=spec.campaign.stream).schedule())
-    faults.extend(_build_fault(fd, devices) for fd in spec.campaign.faults)
+    pinned = [_build_fault(fd, devices) for fd in spec.campaign.faults]
+    faults.extend(pinned)
     injector = FaultInjector(pool, log=log)
     injector.run(FaultSchedule(tuple(faults)))
 
@@ -396,7 +425,9 @@ def run_cell(cell: Cell, label: str = "scenario",
         violations.extend(f"[final] {violation}"
                           for violation in auditor.finish(ctx))
 
-    summary = _summarize(pool, log, clients, ledgers)
+    summary = _summarize(pool, log, clients, ledgers, pinned)
+    for j, server in enumerate(capped):
+        summary[f"cap{j}.admission_rejects"] = float(server.admission_rejects)
     expect_failures = _check_expect(spec.expect, summary)
 
     _obs.METRICS.counter(_names.SCEN_CELLS_RUN).inc()
@@ -419,13 +450,42 @@ def run_cell(cell: Cell, label: str = "scenario",
     return result
 
 
-def _summarize(pool, log, clients, ledgers) -> dict:
+def _p99(values) -> float:
+    ordered = sorted(values)
+    return ordered[int(0.99 * (len(ordered) - 1))]
+
+
+def _gray_detections(pool, pinned) -> list:
+    """``(key, onset_ns, detected_ns or None)`` per pinned gray fault.
+
+    A fail-slow MHD is detected by its first ``mhd_gray_log`` entry, a
+    stalled agent by its host's first ``stall_quarantine_log`` entry.
+    """
+    out = []
+    for fault in pinned:
+        if isinstance(fault, MhdSlow):
+            key, target = f"detect.mhd{fault.mhd_index}_ns", fault.mhd_index
+            log = pool.mhd_gray_log
+        elif isinstance(fault, AgentStall):
+            key, target = f"detect.{fault.host_id}_ns", fault.host_id
+            log = pool.orchestrator.stall_quarantine_log
+        else:
+            continue
+        detected = next((t for who, t in log if who == target), None)
+        out.append((key, fault.at_ns, detected))
+    return out
+
+
+def _summarize(pool, log, clients, ledgers, pinned) -> dict:
     """Flatten the cell's observable outcome into expect-able keys."""
     orch = pool.orchestrator
+    failed_mhds = {i for i, mhd in enumerate(pool.pod.mhds) if mhd.failed}
     summary: dict = {
         "faults.events": float(len(log)),
         "orch.epoch": float(orch.epoch),
         "orch.failovers": float(orch.failovers),
+        "orch.migrations": float(orch.migrations),
+        "orch.mhd_failures_seen": float(orch.mhd_failures_seen),
         "orch.degraded_assignments": float(orch.degraded_assignments),
         "orch.hosts_quarantined": float(orch.hosts_quarantined),
         "orch.hosts_reinstated": float(orch.hosts_reinstated),
@@ -435,7 +495,23 @@ def _summarize(pool, log, clients, ledgers) -> dict:
         "pool.mhd_gray_detections": float(len(pool.mhd_gray_log)),
         "pool.brownout_level_end": float(pool.brownout.level),
         "pool.channels_rebuilt": float(pool.channels_rebuilt),
+        # Live channels with a ring on a dead MHD: re-homing missed one.
+        "pool.channels_on_failed_mhds": float(sum(
+            1 for wired in pool._device_servers.values() for ep in wired
+            if isinstance(ep, RpcEndpoint)
+            and ep.mhd_footprint() & failed_mhds)),
+        "pool.links_degraded": float(sum(
+            link.degraded for mhd in pool.pod.mhds for link in mhd.links)),
     }
+    # Each fault window runs from onset to detection + margin; an
+    # undetected fault's window never closes.
+    windows = []
+    for key, onset, detected in _gray_detections(pool, pinned):
+        if detected is None:
+            windows.append((onset, float("inf")))
+        else:
+            summary[key] = detected - onset
+            windows.append((onset, detected + _CONTAIN_MARGIN_NS))
     summary.update(pool.export_control_plane_telemetry())
     summary.update(pool.export_ras_telemetry())
     summary.update(pool.export_overload_telemetry())
@@ -453,11 +529,21 @@ def _summarize(pool, log, clients, ledgers) -> dict:
             summary[f"{label}.failovers"] = float(client.failovers)
             summary[f"{label}.hedges"] = float(client.hedges)
             summary[f"{label}.pending"] = float(len(client._pending))
+            if ledger.in_window:
+                summary[f"{label}.op_ns"] = ledger.load_ns / ledger.in_window
             if ledger.latencies:
                 ordered = sorted(ledger.latencies)
                 summary[f"{label}.p50_ns"] = ordered[len(ordered) // 2]
-                summary[f"{label}.p99_ns"] = ordered[
-                    int(0.99 * (len(ordered) - 1))]
+                summary[f"{label}.p99_ns"] = _p99(ordered)
+            if windows:
+                clear = [
+                    latency for start, latency
+                    in zip(ledger.starts, ledger.latencies, strict=True)
+                    if not any(start < hi and lo < start + latency
+                               for lo, hi in windows)]
+                summary[f"{label}.clear_ops"] = float(len(clear))
+                if clear:
+                    summary[f"{label}.clear_p99_ns"] = _p99(clear)
         else:
             summary[f"{label}.sent"] = float(len(ledger.sent))
             summary[f"{label}.received"] = float(len(ledger.received))
@@ -477,12 +563,43 @@ _EXPECT_CHECKS = {
 def _check_expect(expect, summary) -> list:
     failures = []
     for key, op, value in expect:
+        if isinstance(value, dict):
+            continue  # relative: run_matrix compares it with its sibling
         if key not in summary:
             failures.append(f"expect {key}: no such summary key")
             continue
         if not _EXPECT_CHECKS[op](summary[key], value):
             failures.append(
                 f"expect {key} {op} {value!r}: actual {summary[key]!r}")
+    return failures
+
+
+def _check_relative(expect, result: CellResult, results) -> list:
+    """Check ``result``'s relative expects against its sibling cells.
+
+    A relative expect ``(key, op, {"axis", "value", "key", "times"})``
+    compares ``key`` with ``times`` x the sibling's summary ``key``; the
+    sibling is the cell of the same seed whose axes equal this cell's
+    but for ``axis``, which is ``value``.
+    """
+    failures = []
+    for key, op, ref in expect:
+        if not isinstance(ref, dict):
+            continue
+        axes = {**result.axes, ref["axis"]: ref["value"]}
+        sibling = next((r for r in results
+                        if r.seed == result.seed and r.axes == axes), None)
+        what = (f"expect {key} {op} {ref['times']} x "
+                f"[{ref['axis']}={ref['value']}] {ref['key']}")
+        if sibling is None:
+            failures.append(f"{what}: no such cell")
+        elif key not in result.summary or ref["key"] not in sibling.summary:
+            failures.append(f"{what}: no such summary key")
+        else:
+            bound = ref["times"] * sibling.summary[ref["key"]]
+            if not _EXPECT_CHECKS[op](result.summary[key], bound):
+                failures.append(
+                    f"{what} = {bound!r}: actual {result.summary[key]!r}")
     return failures
 
 
@@ -534,7 +651,7 @@ class MatrixResult:
         """EXPERIMENTS.md-style markdown table of the matrix."""
         axis_names = sorted({axis for cell in self.cells
                              for axis in cell.axes})
-        header = axis_names + ["seed", "faults", "sig", "violations",
+        header = axis_names + ["seed", "fault events", "sig", "violations",
                                "status"]
         lines = ["| " + " | ".join(header) + " |",
                  "|" + "|".join("---" for _ in header) + "|"]
@@ -593,5 +710,14 @@ def run_matrix(runbook: Runbook, seeds=None,
             FAILED_CELLS.extend(failed)
     else:
         results = [run_cell(cell, label=runbook.name) for cell in cells]
+    # Relative expects need every cell's summary, so they are checked
+    # here, in the parent, the same way for serial and parallel runs.
+    for cell, result in zip(cells, results, strict=True):
+        failures = _check_relative(cell.scenario.expect, result, results)
+        if failures:
+            was_ok = result.ok
+            result.expect_failures.extend(failures)
+            if was_ok:
+                _dump_postmortem(runbook.name, result, result.sim_ns)
     return MatrixResult(runbook=runbook.name,
                         description=runbook.description, cells=results)

@@ -13,10 +13,11 @@ library, no new dependencies.  Loading is strict: an unknown key is a
 whose ``agent_stalls`` was spelled ``agent_stals`` must not pass by
 injecting nothing).
 
-The schema deliberately mirrors the knobs the hand-written soaks
-(``benchmarks/test_chaos.py``, ``test_gray_chaos.py``,
-``test_overload_soak.py``) reached for directly, so those soaks are
-expressible as runbook files — see ``runbooks/``.
+The checked-in runbooks (``runbooks/``) are the repo's soaks: chaos,
+gray, overload, lease and ras.  An expect compares a summary key with a
+constant, or — a *relative* expect — with ``times`` x a key of the
+same-seed cell that differs only in one axis value, so a gate like
+"goodput >= 80% of calibrated capacity" needs no hard-coded capacity.
 """
 
 from __future__ import annotations
@@ -43,10 +44,15 @@ FAULT_KINDS = {
         _fault_spec.HostPartition, _fault_spec.LeaseExpire,
         _fault_spec.MhdSlow, _fault_spec.LinkDegrade,
         _fault_spec.AgentStall, _fault_spec.OverloadStorm,
+        _fault_spec.OwnerKill,
     )
 }
 
 _EXPECT_OPS = ("==", "!=", ">=", "<=", ">", "<")
+
+#: The fields of a relative expect's reference: compare against ``times``
+#: x summary ``key`` of the same-seed cell whose ``axis`` is ``value``.
+_RELATIVE_FIELDS = ("axis", "value", "key", "times")
 
 
 class RunbookError(ValueError):
@@ -257,15 +263,27 @@ class ScenarioSpec:
     settle_ns: float = 0.0          # post-campaign drain before audits
     audit_interval_ns: float = 2_000_000.0
     invariants: tuple = ()          # () = every registered auditor
-    expect: tuple = ()              # ((key, op, value), ...)
+    #: ((key, op, value), ...); a dict value is a relative expect
+    #: (see ``_RELATIVE_FIELDS``), resolved by ``run_matrix``.
+    expect: tuple = ()
 
     def __post_init__(self):
         if self.duration_ns <= 0:
             raise RunbookError("scenario duration_ns must be positive")
-        for key, op, _value in self.expect:
+        for key, op, value in self.expect:
             if op not in _EXPECT_OPS:
                 raise RunbookError(
                     f"expect[{key!r}]: operator {op!r} not in {_EXPECT_OPS}")
+            if isinstance(value, dict):
+                _check_keys(f"expect[{key!r}]", value, _RELATIVE_FIELDS)
+                missing = [f for f in _RELATIVE_FIELDS if f not in value]
+                if missing:
+                    raise RunbookError(
+                        f"expect[{key!r}]: relative expect needs {missing}")
+                if type(value["times"]) not in (int, float):
+                    raise RunbookError(
+                        f"expect[{key!r}]: times {value['times']!r} is not "
+                        "a number")
 
 
 def scenario_from_dict(d: dict) -> ScenarioSpec:
@@ -365,7 +383,17 @@ def runbook_from_dict(d: dict) -> Runbook:
     runbook = Runbook(name=str(d["name"]),
                       description=str(d.get("description", "")),
                       base=d["base"], axes=axes, seeds=seeds)
-    runbook.expand()                # fail at load time, not run time
+    # Fail at load time, not run time: every cell builds, and every
+    # relative expect names an axis value this runbook has.
+    axis_values = {name: {v for v, _patch in values}
+                   for name, values in axes}
+    for cell in runbook.expand():
+        for key, _op, ref in cell.scenario.expect:
+            if (isinstance(ref, dict)
+                    and ref["value"] not in axis_values.get(ref["axis"], ())):
+                raise RunbookError(
+                    f"{cell.cell_id}: expect[{key!r}] refers to "
+                    f"{ref['axis']}={ref['value']}, which no axis has")
     return runbook
 
 

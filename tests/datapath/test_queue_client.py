@@ -235,3 +235,67 @@ def test_failed_single_op_copy_does_not_stall_a_later_op(kind, lost):
     # The device ran the no-op filler, then the op behind it.
     assert rig.completed() == 2
     rig.close()
+
+
+@pytest.mark.parametrize("kind", ["write_burst", "run_jobs"])
+def test_payload_copy_spanning_a_failover_posts_on_the_successor(kind):
+    """An op reserves its index before it copies its payload.  A
+    failover that starts during the copy rebuilds the rings, so that
+    index belongs to the dead generation: the op must be journaled and
+    posted under an index of the successor's ring, or the doorbell
+    frontier never reaches it and it waits for the op-timeout failover.
+    Earlier ops make the stale index differ from the successor's first
+    one (with none, index 0 would match it by accident)."""
+    from repro.core import PciePool
+
+    sim = Simulator(seed=7)
+    pool = PciePool(sim, n_hosts=4)
+    if kind == "write_burst":
+        pool.add_ssd("h0")
+        pool.add_ssd("h1")
+    else:
+        pool.add_accelerator("h0")
+        pool.add_accelerator("h1")
+    pool.start()
+    if kind == "write_burst":
+        client = pool.open_ssd("h2", max_io_bytes=65536)
+    else:
+        client = pool.open_accelerator("h2", max_job_bytes=65536)
+    big = bytes(range(256)) * 256               # 64 KiB
+    results = {}
+
+    def submit(payloads):
+        if kind == "write_burst":
+            return client.write_burst(
+                [(i * 65536, data) for i, data in enumerate(payloads)])
+        return client.run_jobs([(KERNEL_COMPRESS, data) for data in payloads])
+
+    def proc():
+        yield from client.setup()
+        for i in range(5):
+            yield from submit([bytes([i]) * 512])
+        # A slow copy: h2's links at 1% bandwidth stretch the 64 KiB
+        # payload copy far past the failover's few microseconds.
+        for link in pool.pod.host("h2").port.links:
+            link.degrade(0.01)
+        start = sim.now
+
+        def failover():
+            yield sim.timeout(2_000.0)
+            yield from client.failover()
+
+        sim.spawn(failover())
+        (result,) = yield from submit([big])
+        results["latency"] = sim.now - start
+        results["result"] = result
+
+    p = sim.spawn(proc())
+    sim.run(until=p)
+    if kind == "write_burst":
+        assert results["result"] == CompletionEntry.STATUS_OK
+    else:
+        assert zlib.decompress(results["result"]) == big
+    assert client.failovers == 1 and client.op_timeouts == 0
+    assert results["latency"] < 1_000_000.0
+    assert client._pending == {}
+    pool.stop()

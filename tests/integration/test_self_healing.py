@@ -132,6 +132,6 @@ def test_control_plane_telemetry_export():
     }
     board = pool.orchestrator.board
     for name, value in totals.items():
-        assert board.counter(name) == value
+        assert board.metrics.value(name) == value
     pool.stop()
     sim.run()

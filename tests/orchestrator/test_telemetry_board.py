@@ -68,13 +68,8 @@ def test_counters_and_gauges_are_typed():
     board.bump("failovers")
     board.bump("failovers", 2.0)
     board.set_gauge("mhd.down", 1.0)
-    assert board.counter("failovers") == 3.0
-    assert board.counter("mhd.down") == 1.0
-    assert board.counters == {"failovers": 3.0, "mhd.down": 1.0}
-    # The deprecated view is a snapshot, not the live store.
-    view = board.counters
-    view["failovers"] = 99.0
-    assert board.counter("failovers") == 3.0
+    assert board.metrics.value("failovers") == 3.0
+    assert board.metrics.value("mhd.down") == 1.0
     # Using one name as both kinds now fails loudly.
     with pytest.raises(MetricTypeError):
         board.set_gauge("failovers", 5.0)

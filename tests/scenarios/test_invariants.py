@@ -64,6 +64,23 @@ def test_exactly_once_trips_on_double_completion():
     assert tripped(result) == {"exactly_once"}
 
 
+def test_exactly_once_trips_on_an_unaccounted_open_loop_arrival():
+    """An open-loop arrival is admitted or shed; one that is neither
+    was lost at the client edge."""
+    def lose_arrival(ctx):
+        ctx.ledgers["w0.vssd"].offered += 1
+
+    open_loop = {"workloads": [{
+        "driver": "vssd", "host": "h2", "mode": "open",
+        "rate_per_s": 2000.0, "duration_ns": 100e6, "queue_limit": 4}]}
+    control = run_sabotaged(lambda ctx: None, at_ns=50e6, **open_loop)
+    assert control.ok, (control.violations, control.error)
+    assert control.summary["w0.vssd.offered"] > 0
+    result = run_sabotaged(lose_arrival, at_ns=50e6, **open_loop)
+    assert tripped(result) == {"exactly_once"}
+    assert any("admitted" in v for v in result.violations)
+
+
 def test_no_lost_assignments_trips_on_dropped_vid():
     def drop_assignment(ctx):
         orch = ctx.pool.orchestrator

@@ -1,8 +1,14 @@
 """Cell runner: determinism, summaries, expect gates, aggregation."""
 
+from repro.core import PciePool
+from repro.faults import (
+    DeviceCrash, FaultInjector, FaultLog, FaultSchedule, OwnerKill,
+)
+from repro.pcie.rings import CompletionEntry
 from repro.scenarios import run_cell, run_matrix, runbook_from_dict
 from repro.scenarios.runner import consume_failed_cells
 from repro.scenarios.schema import Cell, merge, scenario_from_dict
+from repro.sim import Simulator
 
 ZERO_DRAWS = {c: 0 for c in (
     "device_flaps", "link_flaps", "agent_crashes",
@@ -149,3 +155,123 @@ def test_netstack_after_probe_round_trips():
     assert result.ok, (result.violations, result.error)
     assert result.summary["w0.netstack.received"] == 2
     assert result.summary["w1.netstack.received"] == 2
+
+
+def test_detection_keys_absent_when_nothing_was_detected():
+    """Faults too brief to detect leave no detection key, and a window
+    with no detection never closes: ops after its onset are not clear."""
+    result = run_cell(tiny_cell(**{"campaign": {"faults": [
+        {"kind": "MhdSlow", "mhd_index": 1, "at_ns": 10e6,
+         "down_ns": 1e6, "latency_factor": 1.5},
+        {"kind": "AgentStall", "host_id": "h0", "at_ns": 12e6,
+         "down_ns": 1e6}]}}))
+    assert result.ok, (result.violations, result.error)
+    assert "detect.mhd1_ns" not in result.summary
+    assert "detect.h0_ns" not in result.summary
+    assert 0 < result.summary["w0.vssd.clear_ops"] < 20
+    # A cell with no pinned gray fault has no fault windows at all.
+    quiet = run_cell(tiny_cell())
+    assert "w0.vssd.clear_ops" not in quiet.summary
+    assert quiet.summary["w0.vssd.op_ns"] > 1e6      # ops are 1 ms apart
+
+
+def relative_runbook(op, key):
+    """Two load levels; the hi cell's ok count is checked against lo's."""
+    workload = {"driver": "vssd", "host": "h2", "ops": 5, "gap_ns": 1e6}
+    return runbook_from_dict({
+        "name": "rel",
+        "description": "relative expects",
+        "seeds": [5],
+        "base": {
+            "duration_ns": 50e6,
+            "pod": {"n_hosts": 3, "n_mhds": 2,
+                    "devices": [{"kind": "ssd", "owner": "h0"}]},
+            "workloads": [workload],
+            "campaign": {"config": dict(ZERO_DRAWS)},
+        },
+        "axes": {"load": [
+            {"name": "lo", "patch": {}},
+            {"name": "hi", "patch": {
+                "workloads": [{**workload, "ops": 10}],
+                "expect": {"w0.vssd.ok": [op, {
+                    "axis": "load", "value": "lo", "key": key,
+                    "times": 2}]}}},
+        ]},
+    })
+
+
+def test_relative_expect_compares_with_the_sibling_cell():
+    passing = run_matrix(relative_runbook("==", "w0.vssd.ok"))
+    assert passing.ok, [c.expect_failures for c in passing.cells]
+    failing = run_matrix(relative_runbook(">", "w0.vssd.ok"))
+    lo, hi = failing.cells
+    assert lo.ok
+    assert not hi.ok
+    assert hi.expect_failures == [
+        "expect w0.vssd.ok > 2 x [load=lo] w0.vssd.ok = 10.0: "
+        "actual 10.0"]
+    assert [c["cell_id"] for c in consume_failed_cells()] == [hi.cell_id]
+
+
+def test_relative_expect_without_sibling_or_key_fails_the_cell():
+    missing_key = run_matrix(relative_runbook("==", "no.such"))
+    assert missing_key.cells[0].ok
+    assert missing_key.cells[1].expect_failures == [
+        "expect w0.vssd.ok == 2 x [load=lo] no.such: no such summary key"]
+    # Loading checks the axis value exists; a matrix run over fewer
+    # values (here: hi alone) must still report, not crash.
+    runbook = relative_runbook("==", "w0.vssd.ok")
+    runbook.axes = [("load", runbook.axes[0][1][1:])]
+    (hi,) = run_matrix(runbook).cells
+    assert hi.expect_failures == [
+        "expect w0.vssd.ok == 2 x [load=lo] w0.vssd.ok: no such cell"]
+    consume_failed_cells()
+
+
+def test_owner_kill_aims_at_the_owner_at_fire_time():
+    """OwnerKill resolves its device when it fires: after an earlier
+    migration it kills the borrower's new owner, not the first one."""
+    sim = Simulator(seed=5)
+    pool = PciePool(sim, n_hosts=3, ctl_poll_ns=200_000.0,
+                    dev_poll_ns=50_000.0)
+    ssds = [pool.add_ssd("h0"), pool.add_ssd("h1")]
+    pool.start()
+    client = pool.open_ssd("h2")
+    first = client.handle.device_id
+    second = next(s.device_id for s in ssds if s.device_id != first)
+    log = FaultLog()
+    FaultInjector(pool, log=log).run(FaultSchedule((
+        DeviceCrash(device_id=first, at_ns=10e6),
+        OwnerKill(borrower_host="h2", device_kind="ssd", at_ns=150e6,
+                  down_ns=20e6),
+    )))
+    sim.run(until=sim.timeout(200e6))
+    assert pool.orchestrator.failovers == 1
+    owner = pool.owner_of(second)
+    assert owner != pool.owner_of(first)
+    assert [line.split("|", 1)[1] for line in (e.line() for e in log)] == [
+        f"DeviceCrash|device:{first}|fail",
+        f"HostPartition|host:{owner}|partition",
+        f"AgentCrash|agent:{owner}|crash",
+        f"DeviceCrash|device:{second}|fail",
+        f"HostPartition|host:{owner}|heal",
+    ]
+    pool.stop()
+
+
+def test_write_error_status_fails_the_cell():
+    """A vSSD write that completes with an error status is a failure of
+    the cell, not a completed op."""
+    def fail_writes(ctx):
+        _label, client = ctx.op_clients()[0]
+
+        def write(lba, data):
+            yield ctx.pool.sim.timeout(1_000.0)
+            return CompletionEntry.STATUS_ERROR
+
+        client.write = write
+
+    result = run_cell(tiny_cell(), sabotage=(5e6, fail_writes))
+    assert not result.ok
+    assert "write failed (status=1)" in result.error
+    consume_failed_cells()

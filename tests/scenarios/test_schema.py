@@ -89,6 +89,28 @@ def test_bad_expect_operator_rejected():
             expect={"orch.epoch": ["~=", 1]}))
 
 
+def test_malformed_relative_expect_rejected():
+    ref = {"axis": "lambda", "value": "1", "key": "orch.epoch", "times": 2}
+    for broken, match in (
+            ({k: v for k, v in ref.items() if k != "axis"}, "needs"),
+            ({**ref, "scale": 2}, "unknown key"),
+            ({**ref, "times": "2x"}, "not a number")):
+        with pytest.raises(RunbookError, match=match):
+            scenario_from_dict(minimal_scenario(
+                expect={"orch.epoch": ["<=", broken]}))
+
+
+def test_relative_expect_must_name_an_axis_value_at_load():
+    doc = runbook_doc()
+    doc["base"]["expect"] = {"orch.epoch": [
+        "<=", {"axis": "lambda", "value": "3", "key": "orch.epoch",
+               "times": 1}]}
+    with pytest.raises(RunbookError, match="lambda=3"):
+        runbook_from_dict(doc)
+    doc["base"]["expect"]["orch.epoch"][1]["value"] = "2"
+    assert runbook_from_dict(doc).expand()
+
+
 def test_expect_dict_form_becomes_triples():
     spec = scenario_from_dict(minimal_scenario(
         expect={"orch.epoch": ["==", 1], "rpc.retries": [">=", 0]}))
@@ -224,7 +246,7 @@ def test_resolve_runbook_by_path(tmp_path):
 
 def test_builtin_runbooks_load_and_expand():
     books = builtin_runbooks()
-    assert {"chaos", "gray", "overload"} <= set(books)
+    assert set(books) == {"chaos", "gray", "lease", "overload", "ras"}
     for name, path in books.items():
         runbook = load_runbook(path)
         cells = runbook.expand()
