@@ -11,11 +11,12 @@ every cell in two worker processes to prove same-seed determinism
 (bit-identical fault logs, summaries and verdicts) and that a parallel
 matrix merges identically to a serial one.
 
-``CHAOS_SEED`` overrides the seed axis for the gray, overload and lease
-runbooks: their pinned faults and drawn partitions must hold at any
-seed.  The chaos and ras runbooks keep their own seeds (11 and 23):
-their campaigns are *drawn*, and those are the schedules their pinned
-faults and expects were written against.
+Each runbook runs at the seeds its ``seeds`` field lists: chaos at 11
+and ras at 23 (their campaigns are *drawn*, and those are the schedules
+their pinned faults and expects were written against), gray at 17
+(nothing in it draws from the seed), and overload and lease at 17, 29,
+43 and 61 (overload's storm-path refusals and lease's drawn partitions
+and lapses move with the seed, and their gates must hold at each).
 
 Emits ``BENCH_scenarios.json`` (every cell's summary) and
 ``SCEN_matrix.md`` (the aggregated EXPERIMENTS.md-style table) for CI
@@ -23,27 +24,15 @@ to archive.
 """
 
 import json
-import os
 
-from repro.scenarios import resolve_runbook, run_matrix
+from repro.scenarios import builtin_runbooks, load_runbook, run_matrix
 
 from .conftest import banner, run_once
 
-SEED = os.environ.get("CHAOS_SEED")
-
-#: runbook name -> does CHAOS_SEED override its seed axis?
-RUNBOOKS = {"chaos": False, "gray": True, "overload": True, "lease": True,
-            "ras": False}
-
-
-def _seeds(name):
-    return [int(SEED)] if (SEED and RUNBOOKS[name]) else None
-
 
 def run_all_matrices(workers=1):
-    return {name: run_matrix(resolve_runbook(name), seeds=_seeds(name),
-                             workers=workers)
-            for name in RUNBOOKS}
+    return {name: run_matrix(load_runbook(path), workers=workers)
+            for name, path in builtin_runbooks().items()}
 
 
 def test_scenario_matrices(benchmark):
@@ -71,7 +60,6 @@ def test_scenario_matrices(benchmark):
               "bit-identical in 2 worker processes")
 
     payload = {
-        "chaos_seed": SEED,
         "matrices": {name: matrix.to_dict()
                      for name, matrix in results.items()},
     }

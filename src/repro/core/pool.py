@@ -850,7 +850,7 @@ class PciePool:
                 yield self.sim.timeout(ADMISSION_RETRY_AFTER_NS)
 
     def export_overload_telemetry(self) -> dict[str, float]:
-        """Aggregate overload-control counters into the telemetry board."""
+        """Aggregate overload-control counters, also set as gauges."""
         totals = {
             "overload.admission_rejects": 0.0,
             "overload.ring_saturations": 0.0,
@@ -876,7 +876,6 @@ class PciePool:
         for pacer in self._pacers.values():
             totals["overload.pacing_decreases"] += pacer.decreases
         for name, value in totals.items():
-            self.orchestrator.board.set_gauge(name, value)
             _obs.METRICS.gauge(name).set(value)
         return totals
 
@@ -983,7 +982,7 @@ class PciePool:
         acc["ring.lost_slots"] += ep.rx.lost_slots
 
     def export_ras_telemetry(self) -> dict[str, float]:
-        """Aggregate RAS/integrity counters into the telemetry board.
+        """Aggregate RAS/integrity counters, also set as gauges.
 
         Combines media-level poison accounting (from the pod), ring-level
         detection counters (live endpoints + those retired by rebuilds),
@@ -1010,14 +1009,13 @@ class PciePool:
         totals["ras.burst_demotions"] = float(self.burst_demotions)
         totals["ras.burst_promotions"] = float(self.burst_promotions)
         for name, value in totals.items():
-            self.orchestrator.board.set_gauge(name, value)
             # Mirror into the process-wide registry so `repro metrics`
             # shows RAS health next to the latency histograms.
             _obs.METRICS.gauge(name).set(value)
         return totals
 
     def export_lease_telemetry(self) -> dict[str, float]:
-        """Aggregate lease/fencing counters into the telemetry board."""
+        """Aggregate lease/fencing counters, the lease ones also as gauges."""
         leases = self.orchestrator.leases
         totals = {
             "lease.active": float(leases.active()),
@@ -1039,7 +1037,6 @@ class PciePool:
             totals["proxy.fenced_ops"] += wired[2].fenced_ops
             totals["proxy.dup_suppressed"] += wired[2].dup_suppressed
         for name, value in totals.items():
-            self.orchestrator.board.set_gauge(name, value)
             if name.startswith("lease."):
                 # The proxy.* names are live counters fed by the servers
                 # themselves; re-registering them as gauges would clash.
@@ -1047,7 +1044,7 @@ class PciePool:
         return totals
 
     def export_control_plane_telemetry(self) -> dict[str, float]:
-        """Aggregate endpoint retry counters into the telemetry board."""
+        """Aggregate endpoint retry counters, also set as gauges."""
         totals = {
             "rpc.retries": 0.0,
             "rpc.backoff_ns": 0.0,
@@ -1068,7 +1065,6 @@ class PciePool:
                     item.late_replies_dropped)
                 totals["rpc.link_errors"] += item.link_errors
         for name, value in totals.items():
-            self.orchestrator.board.set_gauge(name, value)
             _obs.METRICS.gauge(name).set(value)
         return totals
 

@@ -352,13 +352,11 @@ class PooledQueueClient:
     # -- pacing --------------------------------------------------------------
 
     def _pace(self, count: int = 1):
-        """Process: wait for ``count`` AIMD window slots and claim them;
-        returns whether any were claimed."""
+        """Process: wait until the AIMD window grants ``count`` slots
+        together; returns whether any were claimed."""
         if self.pacer is None:
             return False
-        for _ in range(count):
-            yield from self.pacer.wait_for_slot(self.sim)
-            self.pacer.acquire()
+        yield from self.pacer.wait_for_slot(self.sim, count)
         return True
 
     def _release_slot(self, op: _PendingOp) -> None:
@@ -371,8 +369,7 @@ class PooledQueueClient:
     def _release_pacing(self, paced: bool, count: int = 1) -> None:
         """Return pacer slots claimed before an op object existed."""
         if paced and self.pacer is not None:
-            for _ in range(count):
-                self.pacer.release()
+            self.pacer.release(count)
 
     # -- ring protocol -------------------------------------------------------
 

@@ -14,6 +14,7 @@ must replay bit-identically under the chaos harness):
   occupancy servers piggyback on CQ entries and busy nacks.  It starts
   *at its ceiling*, so an uncontended client never notices it; the
   first pressure signal halves it, every clean ack adds one back.
+  Paced-out submitters are granted their slots in arrival order.
 * :class:`BrownoutController` — a pressure-driven ladder that sheds
   load in order of expendability: level 1 slows background work (MHD
   probes, announce traffic), level 2 demotes burst batching.  Lease
@@ -27,8 +28,7 @@ overload posture even when everything is idle.
 
 from __future__ import annotations
 
-from math import ceil
-from operator import attrgetter
+from collections import deque
 
 from repro.cxl.params import (
     AIMD_DECREASE_COOLDOWN_NS,
@@ -47,7 +47,6 @@ from repro.cxl.params import (
 from repro.obs import names as _names
 from repro.obs import runtime as _obs
 from repro.sim.errors import Interrupt, SimError
-from repro.sim.grid import on_grid
 
 #: Brownout ladder rungs, least to most aggressive.
 BROWNOUT_NORMAL = 0      # full service
@@ -168,27 +167,12 @@ class RetryBudget:
         )
 
 
-class _Waiter:
-    """One paced-out submitter parked on its poll grid."""
-
-    __slots__ = ("order", "next_ns", "poll_ns", "wake")
-
-    def __init__(self, order: int, next_ns: float, poll_ns: float, wake):
-        self.order = order
-        self.next_ns = next_ns
-        self.poll_ns = poll_ns
-        self.wake = wake
-
-
-_RANK = attrgetter("next_ns", "order")
-
-
 class AimdWindow:
     """Additive-increase / multiplicative-decrease submission window.
 
-    Callers bracket each in-flight op with :meth:`acquire` /
-    :meth:`release` and pace in :meth:`wait_for_slot` before posting;
-    the window reacts to the cooperative-backpressure signals:
+    Callers pace in :meth:`wait_for_slot`, which returns holding the
+    slots asked for, and hand each slot back with :meth:`release`; the
+    window reacts to the cooperative-backpressure signals:
 
     * a clean completion with low piggybacked occupancy adds
       ``increase`` (additive probe for more room);
@@ -224,10 +208,8 @@ class AimdWindow:
         # Slot ledger, for the pacer-slot conservation auditor.
         self.acquired = 0
         self.released = 0
-        self._parked: list[_Waiter] = []
-        self._park_count = 0
-        # (process, sim time, park order) of the last woken admission.
-        self._readmit: tuple = (None, None, 0)
+        # Parked requests in arrival order: (slots, wake).
+        self._queue: deque = deque()
         self._last_decrease_ns = float("-inf")
         _obs.METRICS.counter(_names.OVERLOAD_PACING_WAITS)
         self._gauge = _obs.METRICS.gauge(_names.OVERLOAD_PACING_WINDOW)
@@ -236,94 +218,62 @@ class AimdWindow:
     def can_submit(self) -> bool:
         return self.inflight < self.window
 
-    def acquire(self) -> None:
-        self.inflight += 1
-        self.acquired += 1
+    def acquire(self, count: int = 1) -> None:
+        self.inflight += count
+        self.acquired += count
 
-    def release(self) -> None:
-        if self.inflight <= 0:
+    def release(self, count: int = 1) -> None:
+        if count > self.inflight:
             # A double release: an accounting bug in the caller.
             raise RuntimeError(f"{self.name}: release with nothing in flight")
-        self.inflight -= 1
-        self.released += 1
-        self._arm()
+        self.inflight -= count
+        self.released += count
+        self._admit()
 
     @property
     def parked(self) -> int:
-        """Paced-out submitters waiting for a slot."""
-        return len(self._parked)
+        """Paced-out requests waiting for their slots."""
+        return len(self._queue)
 
-    @property
-    def armed(self) -> int:
-        """Parked submitters holding a pending wake."""
-        return sum(1 for waiter in self._parked
-                   if waiter.wake.triggered and not waiter.wake.processed)
+    def wait_for_slot(self, sim, count: int = 1):
+        """Process: pace until the window grants ``count`` slots; returns
+        holding them.
 
-    def wait_for_slot(self, sim, poll_ns: float = 2_000.0):
-        """Process: pace until the window admits one more in-flight op.
-
-        A paced-out submitter parks on its own virtual poll grid —
-        ``park + poll_ns``, then ``+= poll_ns``, the same float sums a
-        ``while not can_submit(): timeout(poll_ns)`` loop would make —
-        and costs no kernel event until a slot opens.  When one does
-        (:meth:`release`, or an additive increase in :meth:`on_ack`),
-        the first ``ceil(window - inflight)`` parked submitters by (next
-        grid point, park order) — the ones that loop would admit next —
-        each get one wake at that grid point, so admission times are
-        the loop's.  A woken submitter checks :meth:`can_submit` again;
-        if a fresh arrival or a decrease took the slot, it advances its
-        grid and parks unarmed.
-
-        Ties: a grid point equal to the opening instant admits at that
-        instant.  Submitters whose grid points coincide rank in park
-        order, and one that parks again in the step that admitted it
-        (pacing several slots in a row) keeps its place.
+        A request is granted whole while ``inflight < window``, so a
+        burst never holds part of its slots while it waits for the rest
+        (at the window's floor nothing else might ever release them).
+        With nothing parked it is granted at once; otherwise it parks at
+        the tail of a FIFO and costs no kernel event until
+        :meth:`release`, or an additive increase in :meth:`on_ack`,
+        grants it, with one wake at that instant.  An interrupted
+        request leaves the queue, or returns the slots it was just
+        handed, so the next in line gets them.
         """
-        if self.can_submit():
+        if self.can_submit() and not self._queue:
+            self.acquire(count)
             return
         self.paced_waits += 1
         _obs.METRICS.counter(_names.OVERLOAD_PACING_WAITS).inc()
-        proc = sim.active_process
-        if self._readmit[:2] == (proc, sim.now):
-            order = self._readmit[2]
-        else:
-            order = self._park_count
-            self._park_count += 1
-        waiter = _Waiter(order, sim.now + poll_ns, poll_ns,
-                         sim.event("pacer-wake"))
-        self._parked.append(waiter)
+        wake = sim.event("pacer-wake")
+        request = (count, wake)
+        self._queue.append(request)
         try:
-            while True:
-                yield waiter.wake
-                if self.can_submit():
-                    break
-                waiter.next_ns += poll_ns
-                waiter.wake = sim.event("pacer-wake")
+            yield wake
         except Interrupt:
-            # Leaving while parked: a wake armed for us goes to the next
-            # submitter in line.
-            self._parked.remove(waiter)
-            self._arm()
+            if wake.triggered:
+                # Granted in the instant it was interrupted.
+                self.release(count)
+            else:
+                self._queue.remove(request)
             raise
-        self._parked.remove(waiter)
-        self._readmit = (proc, sim.now, order)
 
-    def _arm(self) -> None:
-        """Wake the parked submitters the polling loop would admit next."""
-        if not self._parked:
-            return
-        free = ceil(self.window - self.inflight)
-        if free <= 0:
-            return
-        now = self._parked[0].wake.sim.now
-        for waiter in self._parked:
-            # Catch the grid up over the polls that would have found the
-            # window full (armed waiters are already at or past now).
-            waiter.next_ns = on_grid(now, waiter.next_ns, (waiter.poll_ns,))
-        for waiter in sorted(self._parked, key=_RANK)[:free]:
-            if not waiter.wake.triggered:
-                on_grid(now, waiter.next_ns, (waiter.poll_ns,),
-                        wake=waiter.wake)
+    def _admit(self) -> None:
+        """Grant the head requests while the window has room."""
+        queue = self._queue
+        while queue and self.inflight < self.window:
+            count, wake = queue.popleft()
+            self.acquire(count)
+            wake.succeed()
 
     def on_ack(self, occupancy_permille: int, now: float) -> None:
         """Fold one completion's piggybacked occupancy into the window."""
@@ -334,7 +284,7 @@ class AimdWindow:
                 self.window = min(self.hi, self.window + self.increase)
                 self.increases += 1
                 self._gauge.set(self.window)
-                self._arm()
+                self._admit()
 
     def on_busy(self, now: float) -> None:
         """A busy nack: hard pressure, decrease (cooldown still applies)."""

@@ -268,7 +268,7 @@ class PoolingAgent:
                             # next firing reasserts the same state.
                             self.announces_shed += 1
                             _obs.METRICS.counter(
-                                "agent.announces_shed").inc()
+                                _names.AGENT_ANNOUNCES_SHED).inc()
                         else:
                             yield from self.announce()
                 except LinkDownError:

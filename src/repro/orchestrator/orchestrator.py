@@ -197,9 +197,7 @@ class Orchestrator:
 
     def release(self, virtual_id: int) -> None:
         self._assignments.pop(virtual_id, None)
-        if virtual_id in self._pending_repair:
-            self._pending_repair.discard(virtual_id)
-            self._publish_degraded()
+        self._pending_repair.discard(virtual_id)
 
     @property
     def assignments(self) -> list[Assignment]:
@@ -279,7 +277,6 @@ class Orchestrator:
             self._mhds_down.add(mhd_index)
             self.mhd_failures_seen += 1
             _instant("orch.mhd_down", self.sim.now, mhd=mhd_index)
-        self.board.set_gauge("mhd.down", float(len(self._mhds_down)))
 
     def ingest_mhd_repair(self, mhd_index: int) -> None:
         if self.down:
@@ -289,7 +286,6 @@ class Orchestrator:
             self._mhds_down.discard(mhd_index)
             self.mhd_repairs_seen += 1
             _instant("orch.mhd_up", self.sim.now, mhd=mhd_index)
-        self.board.set_gauge("mhd.down", float(len(self._mhds_down)))
         self._retry_pending_repairs()
 
     def ingest_mhd_gray(self, mhd_index: int) -> None:
@@ -307,7 +303,6 @@ class Orchestrator:
             self._mhds_gray.add(mhd_index)
             self.mhd_grays_seen += 1
             _instant("orch.mhd_gray", self.sim.now, mhd=mhd_index)
-        self.board.set_gauge("mhd.gray", float(len(self._mhds_gray)))
 
     def ingest_mhd_reinstated(self, mhd_index: int) -> None:
         if self.down:
@@ -317,7 +312,6 @@ class Orchestrator:
             self._mhds_gray.discard(mhd_index)
             self.mhd_reinstates_seen += 1
             _instant("orch.mhd_reinstated", self.sim.now, mhd=mhd_index)
-        self.board.set_gauge("mhd.gray", float(len(self._mhds_gray)))
 
     def ingest_device_announce(self, host_id: str, device_id: int,
                                kind: str, healthy: bool) -> None:
@@ -384,7 +378,6 @@ class Orchestrator:
         else:
             lease = self.leases.grant(device_id, host_id, now)
             self._lease_reacquired(device_id)
-        self.board.set_gauge("leases.active", float(self.leases.active()))
         return lease
 
     def _lease_reacquired(self, device_id: int) -> None:
@@ -412,7 +405,6 @@ class Orchestrator:
         self._lease_fenced.add(lease.device_id)
         self.board.mark_unhealthy(lease.device_id)
         self._failover_device(lease.device_id)
-        self.board.set_gauge("leases.active", float(self.leases.active()))
 
     def ingest_assignment_report(self, host_id: str, virtual_id: int,
                                  device_id: int, kind: str,
@@ -465,7 +457,6 @@ class Orchestrator:
             # pending-repair queue; it is retried when a device is
             # repaired or registered.
             self._pending_repair.add(assignment.virtual_id)
-            self._publish_degraded()
             return
         old = assignment.device_id
         assignment.device_id = chosen.device_id
@@ -477,7 +468,6 @@ class Orchestrator:
                  new_device=chosen.device_id)
         _obs.METRICS.counter(_names.ORCH_FAILOVERS).inc()
         self._pending_repair.discard(assignment.virtual_id)
-        self._publish_degraded()
         self._notify(assignment, old_device_id=old)
 
     def _retry_pending_repairs(self) -> int:
@@ -515,12 +505,7 @@ class Orchestrator:
             self._pending_repair.discard(virtual_id)
             healed += 1
             self._notify(assignment, old_device_id=old)
-        self._publish_degraded()
         return healed
-
-    def _publish_degraded(self) -> None:
-        self.board.set_gauge("degraded_assignments",
-                             len(self._pending_repair))
 
     def rebalance_once(self, kind: str) -> bool:
         """Move one borrower from the hottest to the coldest device.
@@ -605,7 +590,6 @@ class Orchestrator:
             raise RuntimeError("orchestrator is not down")
         self.down = False
         self.epoch = (self.epoch + 1) % 256
-        self._publish_degraded()
         self.start(self._check_interval_ns)
 
     def _monitor_loop(self, interval_ns: float):
@@ -679,8 +663,6 @@ class Orchestrator:
                         self._quarantine_host(host)
                 else:
                     self._stall_suspect_ticks[host] = 0
-        self.board.set_gauge("hosts.quarantined",
-                             float(len(self._quarantined_hosts)))
 
     def _quarantine_host(self, host: str) -> None:
         self._quarantined_hosts.add(host)

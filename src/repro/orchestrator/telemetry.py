@@ -4,20 +4,12 @@ Agents report utilization and health over the control channels; the
 orchestrator keeps the latest view per device plus liveness bookkeeping
 for the agents themselves (a silent agent means a host — and all devices
 behind it — must be treated as unreachable).
-
-Named counters and gauges live on a typed
-:class:`~repro.obs.metrics.MetricsRegistry` rather than the old shared
-string-keyed float dict, so a name can no longer be silently used as
-both a counter and a gauge.  Read them through
-``board.metrics.value(name)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
-
-from repro.obs.metrics import MetricsRegistry
 
 
 @dataclass
@@ -51,7 +43,7 @@ class DeviceTelemetry:
 class TelemetryBoard:
     """The orchestrator's view of the whole pod."""
 
-    def __init__(self, metrics: Optional[MetricsRegistry] = None):
+    def __init__(self):
         self._devices: dict[int, DeviceTelemetry] = {}
         self._agent_heartbeat_ns: dict[str, float] = {}
         #: Hosts we expect heartbeats from, and when we started expecting
@@ -59,17 +51,6 @@ class TelemetryBoard:
         #: stale once the timeout elapses from this point — previously
         #: such agents were invisible to staleness checks forever.
         self._agent_expected_ns: dict[str, float] = {}
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-
-    # -- named counters / gauges -------------------------------------------
-
-    def bump(self, name: str, delta: float = 1.0) -> None:
-        """Increment a named counter (created at zero on first use)."""
-        self.metrics.counter(name).inc(delta)
-
-    def set_gauge(self, name: str, value: float) -> None:
-        """Set a named gauge to an absolute value."""
-        self.metrics.gauge(name).set(value)
 
     # -- devices ---------------------------------------------------------
 

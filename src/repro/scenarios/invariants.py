@@ -278,9 +278,9 @@ class PacerSlotAuditor(InvariantAuditor):
 
     Each window must satisfy ``acquired == released + inflight`` with
     ``inflight >= 0`` — a slot taken off the books, or handed back
-    twice, breaks the ledger — and must never lose a wakeup: while the
-    window has a free slot and a submitter is parked on it, at least one
-    parked submitter holds a pending wake.
+    twice, breaks the ledger — and must never lose a wakeup: no request
+    is parked while ``inflight < window``, because every release and
+    every increase grants the head of the queue in the same step.
     """
 
     name = "pacer_slot_conservation"
@@ -295,11 +295,10 @@ class PacerSlotAuditor(InvariantAuditor):
             if pacer.inflight < 0:
                 violations.append(self._v(
                     f"{pacer.name}: negative inflight {pacer.inflight}"))
-            if (pacer.inflight < pacer.window and pacer.parked
-                    and not pacer.armed):
+            if pacer.parked and pacer.inflight < pacer.window:
                 violations.append(self._v(
                     f"{pacer.name}: lost wakeup: {pacer.parked} parked, "
-                    f"none armed, window {pacer.window:.1f} > inflight "
+                    f"window {pacer.window:.1f} > inflight "
                     f"{pacer.inflight}"))
         return violations
 

@@ -1,8 +1,9 @@
 """Poll grids: where a parked poller's polling loop would have looked.
 
-A poller that parks instead of spinning (a paced-out submitter, a CQ
-collector) keeps the virtual schedule of the loop it replaces: the
-instants at which that loop would have acted.  The loop's timeouts
+A poller that parks instead of spinning keeps the virtual schedule of
+the loop it replaces: the instants at which that loop would have acted.
+The vSSD and vaccel CQ collector is the one such poller: the paper's
+datapath polls its completion entries (§4.1).  The loop's timeouts
 build that schedule as float sums — ``now + delay``, one delay after
 another — so the grid is advanced with the same sums, never with a
 closed form such as ``start + k * period``, which can miss a grid point

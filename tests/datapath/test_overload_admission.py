@@ -19,6 +19,7 @@ from repro.datapath.proxy import DeviceServer, RemoteDeviceHandle
 from repro.datapath.vssd import RemoteSsdClient
 from repro.health import AimdWindow, OverloadError, RetryBudget
 from repro.pcie.nic import Nic, TX_QUEUE
+from repro.pcie.rings import CompletionEntry
 from repro.pcie.ssd import Ssd
 from repro.sim import Simulator
 
@@ -317,6 +318,39 @@ def test_paced_out_submitter_holds_no_sq_slot():
     assert pacer.can_submit()                      # every slot released
     ssd.stop()
     finish(sim, eps)
+
+
+def test_burst_at_the_window_floor_is_granted_whole():
+    """Deadlock regression: a burst's window slots are granted together.
+
+    With a path's pacer at its floor of 2 and nothing in flight, a vSSD
+    burst of 4 that claimed its slots one at a time took 2 and waited
+    for a third that only its own completions, never posted, could
+    release."""
+    from repro.core import PciePool
+
+    sim = Simulator(seed=5)
+    pool = PciePool(sim, n_hosts=4)
+    pool.add_ssd("h0")
+    pool.start()
+    client = pool.open_ssd("h2")
+    pacer = client.pacer
+    statuses = []
+
+    def proc():
+        yield from client.setup()
+        while pacer.window > pacer.lo:
+            pacer.on_busy(sim.now)
+            yield sim.timeout(pacer.cooldown_ns + 1.0)
+        assert (pacer.window, pacer.inflight) == (2.0, 0)
+        statuses.extend((yield from client.write_burst(
+            [(i * 4096, bytes([i]) * 4096) for i in range(4)])))
+
+    sim.spawn(proc())
+    sim.run(until=50e6)
+    assert statuses == [CompletionEntry.STATUS_OK] * 4
+    assert (pacer.parked, pacer.inflight) == (0, 0)
+    pool.stop()
 
 
 # ----------------------------------------- hedge suppression under low budget

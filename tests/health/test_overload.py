@@ -136,13 +136,11 @@ def test_release_with_nothing_in_flight_raises():
 def test_wait_for_slot_paces_until_a_release():
     sim = Simulator()
     w = AimdWindow("t", lo=1.0, hi=2.0)
-    w.acquire()
-    w.acquire()                          # window full
+    w.acquire(2)                         # window full
     times = {}
 
     def submitter():
-        yield from w.wait_for_slot(sim, poll_ns=500.0)
-        w.acquire()
+        yield from w.wait_for_slot(sim)
         times["admitted"] = sim.now
 
     def releaser():
@@ -152,50 +150,22 @@ def test_wait_for_slot_paces_until_a_release():
     p = sim.spawn(submitter())
     sim.spawn(releaser())
     sim.run(until=p)
-    # The release lands on the submitter's poll grid: the tie admits at
-    # that instant, as the polling loop did.
+    # The release hands the slot over at its own instant.
     assert times["admitted"] == 5_000.0
     assert w.paced_waits == 1
     assert w.inflight == 2
 
 
-def test_wake_lands_on_the_grid_point_to_the_last_bit():
-    """Off-lattice times: the wake lands where the polling loop's
-    timeouts would have, the float sum park + poll_ns + poll_ns."""
-    park, opening = 12_345.678901234, 15_000.987654321
-    sim = Simulator()
-    w = AimdWindow("t", lo=1.0, hi=1.0)
-    w.acquire()
-    times = {}
-
-    def submitter():
-        yield sim.timeout(park)
-        yield from w.wait_for_slot(sim, poll_ns=2_000.0)
-        times["admitted"] = sim.now
-
-    def releaser():
-        yield sim.timeout(opening)
-        w.release()
-
-    sim.spawn(submitter())
-    sim.spawn(releaser())
-    sim.run()
-    assert times["admitted"] == park + 2_000.0 + 2_000.0
-
-
 def test_parked_submitters_cost_no_events_until_a_slot_opens():
-    """Eight submitters paced out behind a full window of 8 for 10 ms: a
-    2 µs polling loop spends 40 000 events on them, parking spends one
-    wake each."""
+    """Eight submitters paced out behind a full window of 8 for 10 ms
+    cost no event while it stays full, then one wake each."""
     sim = Simulator()
     w = AimdWindow("t", lo=1.0, hi=8.0)
-    for _ in range(8):
-        w.acquire()
+    w.acquire(8)
     admitted = []
 
     def submitter(i):
-        yield from w.wait_for_slot(sim, poll_ns=2_000.0)
-        w.acquire()
+        yield from w.wait_for_slot(sim)
         admitted.append((i, sim.now))
 
     def releaser():
@@ -206,13 +176,20 @@ def test_parked_submitters_cost_no_events_until_a_slot_opens():
     for i in range(8):
         sim.spawn(submitter(i))
     sim.spawn(releaser())
+    sim.run(until=1.0)
+    assert w.parked == 8
+    parked_at = sim.events_processed
+    sim.run(until=10e6 - 1.0)
+    assert sim.events_processed == parked_at     # the window stayed full
     sim.run()
-    assert admitted == [(i, 10e6) for i in range(8)]    # park order
+    assert admitted == [(i, 10e6) for i in range(8)]    # arrival order
     assert w.paced_waits == 8
     assert sim.events_processed < 200
 
 
-def test_interrupted_waiter_hands_its_wake_to_the_next_in_line():
+def two_parked_behind_a_full_window():
+    """Two one-slot requests, ``first`` then ``second``, parked behind a
+    full window of 1; ``outcome`` gets each one's admission instant."""
     sim = Simulator()
     w = AimdWindow("t", lo=1.0, hi=1.0)
     w.acquire()
@@ -220,64 +197,86 @@ def test_interrupted_waiter_hands_its_wake_to_the_next_in_line():
 
     def submitter(name):
         try:
-            yield from w.wait_for_slot(sim, poll_ns=1_000.0)
+            yield from w.wait_for_slot(sim)
         except Interrupt:
             outcome[name] = "interrupted"
             return
-        w.acquire()
         outcome[name] = sim.now
 
     first = sim.spawn(submitter("first"))
     sim.spawn(submitter("second"))
+    return sim, w, first, outcome
+
+
+def test_interrupted_waiter_hands_its_wake_to_the_next_in_line():
+    """A request interrupted in the instant it was granted returns its
+    slot, and the next in line gets it at that instant."""
+    sim, w, first, outcome = two_parked_behind_a_full_window()
 
     def interrupter():
         yield sim.timeout(1_500.0)
-        w.release()
-        assert (w.parked, w.armed) == (2, 1)      # first is armed for 2 µs
+        first.interrupt()                # lands before first's wake...
+        w.release()                      # ...which grants first
+        assert (w.parked, w.inflight) == (1, 1)
+
+    sim.spawn(interrupter())
+    sim.run()
+    assert outcome == {"first": "interrupted", "second": 1_500.0}
+    assert (w.parked, w.inflight) == (0, 1)
+    assert w.acquired == w.released + w.inflight
+
+
+def test_interrupted_parked_request_leaves_the_queue():
+    sim, w, first, outcome = two_parked_behind_a_full_window()
+
+    def interrupter():
+        yield sim.timeout(1_000.0)
         first.interrupt()
+        yield sim.timeout(1_000.0)
+        assert w.parked == 1
+        w.release()
 
     sim.spawn(interrupter())
     sim.run()
     assert outcome == {"first": "interrupted", "second": 2_000.0}
-    assert (w.parked, w.armed) == (0, 0)
+    assert (w.parked, w.inflight) == (0, 1)
     assert w.acquired == w.released + w.inflight
 
 
-# -- the parked pacer against the polling loop it replaces ------------------
+# -- the FIFO contract over random schedules ---------------------------------
 
-POLL_NS = 2_000.0
-
-
-def polling_wait(window, sim, poll_ns):
-    """The loop the parked pacer replaced, kept as its reference."""
-    if window.can_submit():
-        return
-    window.paced_waits += 1
-    while not window.can_submit():
-        yield sim.timeout(poll_ns)
+STEP_NS = 500.0
 
 
-def run_pacer(schedule, wait):
-    """Drive one AimdWindow through ``schedule`` with ``wait`` as the pace.
+def run_pacer(schedule):
+    """Drive one AimdWindow through ``schedule``, checking it each step.
 
     Each arrival spawns a submitter at its instant, as the pool does per
-    op, which then paces for ``count`` slots in a row (the burst path's
+    op, which paces for ``count`` slots at once (the burst path's
     ``_pace``).  Controls are releases, clean acks (additive increase),
-    pressured acks and busy nacks (cooldown-limited decreases).
+    pressured acks and busy nacks (cooldown-limited decreases).  Returns
+    the arrivals' ``(index, instant)`` grants in grant order, the
+    indices of the requests that parked, the instants at which a release
+    or an increase opened the window, and the window.
     """
     increase, cooldown_ns, preload, arrivals, controls = schedule
     sim = Simulator()
     w = AimdWindow("t", lo=1.0, hi=4.0, increase=increase,
                    cooldown_ns=cooldown_ns)
-    for _ in range(preload):
-        w.acquire()
-    admitted = []
+    w.acquire(preload)
+    grants, parked, openings = [], [], set()
+
+    def check():
+        assert not (w.parked and w.inflight < w.window), "lost wakeup"
+        assert w.acquired == w.released + w.inflight
 
     def submitter(i, count):
-        for slot in range(count):
-            yield from wait(w, sim, POLL_NS)
-            w.acquire()
-            admitted.append((i, slot, sim.now))
+        for wake in w.wait_for_slot(sim, count):   # only a parked one yields
+            parked.append(i)
+            check()
+            yield wake
+        grants.append((i, sim.now))
+        check()
 
     def arrive():
         for i, (at, count) in enumerate(arrivals):
@@ -288,31 +287,34 @@ def run_pacer(schedule, wait):
     def control():
         for at, kind in controls:
             yield sim.timeout(at - sim.now)
+            increases = w.increases
             if kind == "release":
                 if w.inflight:
                     w.release()
+                    openings.add(sim.now)
             elif kind == "busy":
                 w.on_busy(sim.now)
             else:
                 w.on_ack(900 if kind == "pressure" else 0, sim.now)
+            if w.increases > increases:
+                openings.add(sim.now)
+            check()
 
     sim.spawn(arrive())
     sim.spawn(control())
-    sim.run(until=160 * POLL_NS)
-    return admitted, w.paced_waits, w.inflight, w.window
+    sim.run(until=640 * STEP_NS)
+    return grants, parked, openings, w
 
 
 @st.composite
 def pacer_schedules(draw):
-    # Arrivals on a quarter-poll lattice: submitters' grids both coincide
-    # (ties rank in park order) and interleave (rank by next grid point).
+    # Arrivals on a lattice (ties rank in arrival order) and off it.
+    on_lattice = st.integers(0, 240).map(lambda k: k * STEP_NS)
+    off_lattice = st.tuples(st.integers(0, 479), st.integers(1, 499)).map(
+        lambda kf: kf[0] * STEP_NS + kf[1] + 0.25)
     arrivals = sorted(draw(st.lists(
-        st.tuples(st.integers(0, 240).map(lambda k: k * POLL_NS / 4),
-                  st.sampled_from([1, 1, 1, 2, 3])),
+        st.tuples(on_lattice | off_lattice, st.sampled_from([1, 1, 1, 2, 3])),
         min_size=1, max_size=14)))
-    # Off the lattice: a strictly fractional poll offset.
-    off_lattice = st.tuples(st.integers(0, 119), st.integers(1, 1_999)).map(
-        lambda kf: kf[0] * POLL_NS + kf[1] + 0.25)
     times = sorted(draw(st.lists(off_lattice, min_size=1, max_size=40,
                                  unique=True)))
     kinds = draw(st.lists(
@@ -324,15 +326,18 @@ def pacer_schedules(draw):
             arrivals, list(zip(times, kinds, strict=True)))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(pacer_schedules())
-def test_parked_pacer_admits_exactly_like_the_polling_loop(schedule):
-    parked = run_pacer(
-        schedule, lambda w, sim, poll_ns: w.wait_for_slot(sim, poll_ns))
-    polled = run_pacer(schedule, polling_wait)
-    # Every admission time, the admission order, paced_waits, and the
-    # final window state.
-    assert parked == polled
+def test_pacer_grants_requests_whole_in_arrival_order(schedule):
+    _increase, _cooldown, preload, arrivals, _controls = schedule
+    grants, parked, openings, w = run_pacer(schedule)
+    # Arrival order: the granted requests are the first arrivals.
+    assert [i for i, _at in grants] == list(range(len(grants)))
+    for i, at in grants:
+        assert at in openings if i in parked else at == arrivals[i][0]
+    # Whole grants: every granted request took all its slots.
+    assert w.acquired == preload + sum(arrivals[i][1] for i, _at in grants)
+    assert w.paced_waits == len(parked)
 
 
 # ----------------------------------------------------- BrownoutController

@@ -3,6 +3,7 @@ with live assignments, driven through the public fault-injection verbs."""
 
 from repro.core import PciePool
 from repro.faults import FaultInjector
+from repro.obs import runtime as _obs
 from repro.sim import Simulator
 
 
@@ -130,8 +131,8 @@ def test_control_plane_telemetry_export():
         "rpc.retries", "rpc.backoff_ns", "rpc.timeouts", "rpc.gave_up",
         "rpc.late_replies_dropped", "rpc.link_errors",
     }
-    board = pool.orchestrator.board
+    # Mirrored into the registry that `repro metrics` prints.
     for name, value in totals.items():
-        assert board.metrics.value(name) == value
+        assert _obs.METRICS.value(name) == value
     pool.stop()
     sim.run()

@@ -83,5 +83,4 @@ def test_dead_host_with_no_replacement_parks_assignment():
     assert orch.failovers == 0
     assert orch.degraded_assignments == 1
     assert assignment.device_id == 1  # still pointing at the dead device
-    assert orch.board.metrics.value("degraded_assignments") == 1
     orch.stop()

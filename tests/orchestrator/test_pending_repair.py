@@ -22,7 +22,6 @@ def test_failed_failover_parks_on_pending_repair():
     orch.ingest_device_failure(1)
     assert orch.failovers == 0
     assert orch.degraded_assignments == 1
-    assert orch.board.metrics.value("degraded_assignments") == 1
     assert assignment.device_id == 1
 
 
@@ -38,7 +37,6 @@ def test_repair_rebinds_in_place():
     assert assignment.device_id == 1
     assert assignment.generation == 1  # borrower must rebuild its stack
     assert notifications == [(assignment.virtual_id, 1)]
-    assert orch.board.metrics.value("degraded_assignments") == 0
 
 
 def test_new_registration_unparks_assignment():

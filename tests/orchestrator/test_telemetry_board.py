@@ -1,8 +1,5 @@
-"""TelemetryBoard: typed metrics, health round-trips, agent staleness."""
+"""TelemetryBoard: health round-trips, agent staleness."""
 
-import pytest
-
-from repro.obs.metrics import MetricTypeError
 from repro.orchestrator.telemetry import DeviceTelemetry, TelemetryBoard
 
 
@@ -61,17 +58,3 @@ def test_expect_agent_is_idempotent():
     board.expect_agent("h0", now=0.0)
     board.expect_agent("h0", now=500.0)  # re-wire must not reset grace
     assert board.stale_agents(now=200.0, timeout_ns=100.0) == ["h0"]
-
-
-def test_counters_and_gauges_are_typed():
-    board = TelemetryBoard()
-    board.bump("failovers")
-    board.bump("failovers", 2.0)
-    board.set_gauge("mhd.down", 1.0)
-    assert board.metrics.value("failovers") == 3.0
-    assert board.metrics.value("mhd.down") == 1.0
-    # Using one name as both kinds now fails loudly.
-    with pytest.raises(MetricTypeError):
-        board.set_gauge("failovers", 5.0)
-    with pytest.raises(MetricTypeError):
-        board.bump("mhd.down")
