@@ -35,7 +35,7 @@ from repro.cxl.params import LINK_RETRY_POLL_NS, RECV_POLL_NS
 from repro.obs import names as _names
 from repro.obs import runtime as _obs
 from repro.obs.context import unwrap_trace, wrap_trace
-from repro.sim import FilterStore, Interrupt
+from repro.sim import Event, Interrupt
 
 
 class RpcError(RuntimeError):
@@ -77,8 +77,7 @@ class RpcEndpoint:
 
     def __init__(self, sim, name: str,
                  tx: RingSender, rx: RingReceiver,
-                 poll_overhead_ns: float = RECV_POLL_NS,
-                 link_down_backoff_ns: float = LINK_RETRY_POLL_NS):
+                 poll_overhead_ns: float = RECV_POLL_NS):
         self.sim = sim
         self.name = name
         self.tx = tx
@@ -86,8 +85,6 @@ class RpcEndpoint:
         # Poll cadence while traffic flows: datapath endpoints poll at
         # sub-us latency; control-plane endpoints may poll lazily.
         self.poll_overhead_ns = poll_overhead_ns
-        # How long the dispatcher sleeps after a poll hit a dead link.
-        self.link_down_backoff_ns = link_down_backoff_ns
         # Poll elision: the idle dispatcher parks on the rx ring's wake
         # event instead of walking a poll grid.
         self.empty_polls = 0
@@ -103,7 +100,10 @@ class RpcEndpoint:
         #: processes it — the host is alive but unreachable).
         self.partitioned = False
         self.partition_drops = 0
-        self._replies = FilterStore(sim, name=f"{name}.replies")
+        #: Outstanding calls: request id -> the event its reply triggers.
+        self._calls: dict[int, Event] = {}
+        #: Request ids of calls that timed out: a straggler reply to one
+        #: is dropped (and counted) rather than matched to a later call.
         self._abandoned: set[int] = set()
         self._handlers: dict[type, Callable] = {}
         self._default_handler: Optional[Callable] = None
@@ -269,35 +269,29 @@ class RpcEndpoint:
             yield from self.tx.send(message.encode())
         self.calls_sent += 1
         started_ns = self.sim.now
-        get = self._replies.get(lambda m: m.request_id == rid)
+        reply = self._calls[rid] = self.sim.event("rpc-reply")
         if timeout_ns is None:
-            reply = yield get
-            if span is not None:
-                tracer.end(span, self.sim.now)
-            _obs.METRICS.observe(_names.RPC_CALL_NS, self.sim.now - started_ns)
-            return reply
-        deadline = self.sim.timeout(timeout_ns)
-        result = yield get | deadline
-        if get in result:
-            if span is not None:
-                tracer.end(span, self.sim.now)
-            _obs.METRICS.observe(_names.RPC_CALL_NS, self.sim.now - started_ns)
-            return result[get]
-        # Withdraw the pending get so a late reply does not satisfy a
-        # waiter that already gave up, and remember the request id: a
-        # straggler reply must be dropped rather than parked, or it could
-        # be mis-matched to a future request reusing the same id.
-        if get in self._replies._gets:
-            self._replies._gets.remove(get)
-        self._abandoned.add(rid)
-        self.calls_timed_out += 1
-        self._purge_abandoned()
+            yield reply
+        else:
+            result = yield reply | self.sim.timeout(timeout_ns)
+            if reply not in result:
+                # Forget the call so a late reply does not satisfy a
+                # waiter that already gave up, and remember the request
+                # id: a straggler reply must be dropped, or it could be
+                # matched to a future request reusing the same id.
+                self._calls.pop(rid, None)
+                self._abandoned.add(rid)
+                self.calls_timed_out += 1
+                if span is not None:
+                    tracer.end(span, self.sim.now, outcome="timeout")
+                raise RpcError(
+                    f"{self.name}: rpc {type(message).__name__} "
+                    f"(id={rid}) timed out after {timeout_ns} ns"
+                )
         if span is not None:
-            tracer.end(span, self.sim.now, outcome="timeout")
-        raise RpcError(
-            f"{self.name}: rpc {type(message).__name__} "
-            f"(id={rid}) timed out after {timeout_ns} ns"
-        )
+            tracer.end(span, self.sim.now)
+        _obs.METRICS.observe(_names.RPC_CALL_NS, self.sim.now - started_ns)
+        return reply.value
 
     def call_with_retry(self, message: Message, timeout_ns: float,
                         max_attempts: int = 5,
@@ -438,15 +432,6 @@ class RpcEndpoint:
             f"{max_attempts} attempts"
         ) from last_error
 
-    def _purge_abandoned(self) -> None:
-        """Drop parked replies whose caller already gave up."""
-        stale = [m for m in self._replies.items
-                 if getattr(m, "request_id", 0) in self._abandoned]
-        for message in stale:
-            self._replies.items.remove(message)
-            self._abandoned.discard(message.request_id)
-            self.late_replies_dropped += 1
-
     # -- dispatcher -----------------------------------------------------------
 
     @property
@@ -509,7 +494,7 @@ class RpcEndpoint:
                     # dispatcher alive and re-poll after a backoff — the
                     # channel memory is still intact on the MHD.
                     self.link_errors += 1
-                    yield self.sim.timeout(self.link_down_backoff_ns)
+                    yield self.sim.timeout(LINK_RETRY_POLL_NS)
                     continue
                 except SlotCorruptionError:
                     # Poison or a failed CRC ate one message.  The loss
@@ -528,7 +513,7 @@ class RpcEndpoint:
                     self.slot_corruptions += rx.lost_slots - lost_before
                 except LinkDownError:
                     self.link_errors += 1
-                    yield self.sim.timeout(self.link_down_backoff_ns)
+                    yield self.sim.timeout(LINK_RETRY_POLL_NS)
                     continue
                 for payload in batch:
                     self._deliver(payload)
@@ -559,20 +544,18 @@ class RpcEndpoint:
             return
         self.messages_handled += 1
         handler = self._handlers.get(type(message))
+        rid = getattr(message, "request_id", 0)
         if handler is not None:
             self._run_handler(handler, message, trace_ctx)
-        elif getattr(message, "request_id", 0) in self._abandoned:
+        elif rid in self._abandoned:
             # Straggler reply to a call that already timed out.
-            self._abandoned.discard(message.request_id)
+            self._abandoned.discard(rid)
             self.late_replies_dropped += 1
-        elif self._awaited_reply(message):
-            self._replies.put(message)
+        elif rid in self._calls:
+            self._calls.pop(rid).succeed(message)
         elif self._default_handler is not None:
             self._run_handler(self._default_handler, message, trace_ctx)
-        else:
-            # Unmatched message with no handler: park it in the reply
-            # store in case a caller registers momentarily.
-            self._replies.put(message)
+        # Otherwise no call waits for it and nothing handles it: drop it.
 
     def _run_handler(self, handler: Callable, message: Message,
                      trace_ctx=None) -> None:
@@ -603,13 +586,6 @@ class RpcEndpoint:
             return result
         finally:
             _obs.TRACER.end(span, self.sim.now)
-
-    def _awaited_reply(self, message: Message) -> bool:
-        """True if some in-flight call() is waiting for this message."""
-        return any(
-            get.predicate is not None and get.predicate(message)
-            for get in self._replies._gets
-        )
 
     def __repr__(self) -> str:
         return (

@@ -28,7 +28,7 @@ from repro.cxl.params import (
     HEDGE_TX_DEADLINE_NS,
     LINK_RETRY_POLL_NS,
 )
-from repro.datapath.placement import BufferPlacement, DriverMemory
+from repro.datapath.placement import DriverMemory
 from repro.datapath.proxy import (
     DeviceGoneError,
     DeviceWithdrawnError,
@@ -81,13 +81,17 @@ class UdpSocket:
 class UdpStack:
     """Userspace UDP over one NIC queue pair."""
 
+    #: Per-datagram software cost outside the memory system: protocol
+    #: processing, scheduling, buffer management.  Calibrated so the
+    #: end-to-end RTT matches a Junction-class kernel-bypass stack.
+    SW_OVERHEAD_NS = 1800.0
+    #: Re-read period of a hinted CQ entry that has not landed yet.
+    POLL_NS = 100.0
+
     def __init__(self, sim, memsys, handle, driver_mem: DriverMemory,
                  mac: int, tx_hint: Store, rx_hint: Store,
                  n_desc: int = 64, buf_bytes: int = 10240,
-                 poll_ns: float = 100.0, name: str = "udp-stack",
-                 sw_overhead_ns: float = 1800.0,
-                 hedge_tx_deadline_ns: float = HEDGE_TX_DEADLINE_NS,
-                 budget=None):
+                 name: str = "udp-stack", budget=None):
         self.sim = sim
         #: Per-client-host retry budget (optional): TX hedges draw from
         #: it softly, failover resends drain it unconditionally, and
@@ -101,13 +105,8 @@ class UdpStack:
         # until a completion lands instead of spinning.
         self._tx_hint = tx_hint
         self._rx_hint = rx_hint
-        # Per-datagram software cost outside the memory system: protocol
-        # processing, scheduling, buffer management.  Calibrated so the
-        # end-to-end RTT matches a Junction-class kernel-bypass stack.
-        self.sw_overhead_ns = sw_overhead_ns
         self.n_desc = n_desc
         self.buf_bytes = buf_bytes
-        self.poll_ns = poll_ns
         self.name = name
         # Memory layout.
         self.tx_ring = driver_mem.alloc(n_desc * DESCRIPTOR_BYTES, "tx-ring")
@@ -141,12 +140,6 @@ class UdpStack:
         self._tx_cq_head = 0
         self._kick_pending = False
         self._kick_streak = 0
-        #: TX completions silent for this long while frames are
-        #: journaled → the hedge watchdog re-rings both doorbells.
-        #: Doorbells are max()-semantics and journaled frames are only
-        #: resent through the failover dedup path, so a hedge racing a
-        #: slow-but-alive owner cannot duplicate a datagram.
-        self.hedge_tx_deadline_ns = hedge_tx_deadline_ns
         self._tx_progress_ns = 0.0
         self._hedge_streak = 0
         # Fault tolerance: CQ pollers and repost paths survive link flaps
@@ -265,7 +258,7 @@ class UdpStack:
                       "remote": self.handle.is_remote},
             )
         try:
-            yield self.sim.timeout(self.sw_overhead_ns)
+            yield self.sim.timeout(self.SW_OVERHEAD_NS)
             frames = [
                 EthernetFrame(
                     dst_mac, self.mac,
@@ -475,16 +468,22 @@ class UdpStack:
         for the VirtualNic's full failover.  Streak-bounded like
         ``_fence_kick`` (reset on any TX completion) so a dead owner
         still falls through to the failover path.
+
+        TX completions silent for ``HEDGE_TX_DEADLINE_NS`` while frames
+        are journaled → re-ring both doorbells.  Doorbells are
+        max()-semantics and journaled frames are only resent through the
+        failover dedup path, so a hedge racing a slow-but-alive owner
+        cannot duplicate a datagram.
         """
         try:
             while True:
-                yield self.sim.timeout(self.hedge_tx_deadline_ns)
+                yield self.sim.timeout(HEDGE_TX_DEADLINE_NS)
                 if (not self._started
                         or not self._tx_journal
                         or self._hedge_streak >= HEDGE_STREAK_LIMIT):
                     continue
                 if (self.sim.now - self._tx_progress_ns
-                        <= self.hedge_tx_deadline_ns):
+                        <= HEDGE_TX_DEADLINE_NS):
                     continue
                 if (self.budget is not None
                         and not self.budget.try_spend_hedge(1.0)):
@@ -592,7 +591,7 @@ class UdpStack:
                 args={"bytes": length, "slot": slot},
             )
         try:
-            yield self.sim.timeout(self.sw_overhead_ns)
+            yield self.sim.timeout(self.SW_OVERHEAD_NS)
             buf = self.rx_bufs + slot * self.buf_bytes
             raw = yield from self.mem.read(buf, length)
             frame = EthernetFrame.decode(raw)
@@ -640,7 +639,7 @@ class UdpStack:
             entry = CompletionEntry.decode(raw)
             if entry.seq == expect:
                 return entry
-            yield self.sim.timeout(self.poll_ns)
+            yield self.sim.timeout(self.POLL_NS)
 
     def __repr__(self) -> str:
         return (

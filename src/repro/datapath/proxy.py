@@ -165,31 +165,27 @@ class RemoteDeviceHandle:
     used, which is only safe for handles that never move endpoints.
     """
 
+    RPC_TIMEOUT_NS = 2_000_000.0
+    # Transport-level retries (timeout / link flap); application-level
+    # rejections (DeviceGoneError) are never retried here — the
+    # orchestrator owns that decision.  Fences are the exception: they
+    # are replayed below after re-resolving the owner.
+    RPC_MAX_ATTEMPTS = 4
+    FENCE_RETRY_LIMIT = 64
+    FENCE_BACKOFF_BASE_NS = 500_000.0
+    FENCE_BACKOFF_CAP_NS = 8_000_000.0
+
     def __init__(self, endpoint: RpcEndpoint, device_id: int,
-                 rpc_timeout_ns: float = 2_000_000.0,
-                 rpc_max_attempts: int = 4,
                  token: int = 0,
                  op_id_source: Optional[Callable[[], int]] = None,
                  resolver: Optional[Callable] = None,
-                 fence_retry_limit: int = 64,
-                 fence_backoff_base_ns: float = 500_000.0,
-                 fence_backoff_cap_ns: float = 8_000_000.0,
                  budget=None, pacer=None,
                  overload_retry_limit: int = OVERLOAD_RETRY_LIMIT):
         self.endpoint = endpoint
         self.device_id = device_id
-        self.rpc_timeout_ns = rpc_timeout_ns
-        # Transport-level retries (timeout / link flap); application-level
-        # rejections (DeviceGoneError) are never retried here — the
-        # orchestrator owns that decision.  Fences are the exception:
-        # they are replayed below after re-resolving the owner.
-        self.rpc_max_attempts = rpc_max_attempts
         self.token = token
         self.op_id_source = op_id_source
         self.resolver = resolver
-        self.fence_retry_limit = fence_retry_limit
-        self.fence_backoff_base_ns = fence_backoff_base_ns
-        self.fence_backoff_cap_ns = fence_backoff_cap_ns
         self.fence_replays = 0
         # Doorbell coalescing: while one caller (the "carrier") has a
         # forwarded doorbell in flight for a queue, concurrent doorbells
@@ -251,11 +247,11 @@ class RemoteDeviceHandle:
 
     def _fence_pause(self, attempt: int, parent=None):
         """Process: back off, re-resolve; False when budget exhausted."""
-        if self.resolver is None or attempt >= self.fence_retry_limit:
+        if self.resolver is None or attempt >= self.FENCE_RETRY_LIMIT:
             return False
         sim = self.endpoint.sim
-        delay = min(self.fence_backoff_cap_ns,
-                    self.fence_backoff_base_ns * (2 ** min(attempt, 5)))
+        delay = min(self.FENCE_BACKOFF_CAP_NS,
+                    self.FENCE_BACKOFF_BASE_NS * (2 ** min(attempt, 5)))
         rng = sim.rng.stream(f"fence:{self.device_id}")
         delay += float(rng.uniform(0.0, delay / 2.0))
         if _obs.TRACER.enabled:
@@ -356,8 +352,8 @@ class RemoteDeviceHandle:
                         device_id=self.device_id, addr=offset, value=value,
                         op_id=op_id, token=self.token,
                     ),
-                    timeout_ns=self.rpc_timeout_ns,
-                    max_attempts=self.rpc_max_attempts,
+                    timeout_ns=self.RPC_TIMEOUT_NS,
+                    max_attempts=self.RPC_MAX_ATTEMPTS,
                     budget=self.budget,
                     parent=span,
                 )
@@ -401,8 +397,8 @@ class RemoteDeviceHandle:
                         device_id=self.device_id, addr=offset,
                         op_id=op_id, token=self.token,
                     ),
-                    timeout_ns=self.rpc_timeout_ns,
-                    max_attempts=self.rpc_max_attempts,
+                    timeout_ns=self.RPC_TIMEOUT_NS,
+                    max_attempts=self.RPC_MAX_ATTEMPTS,
                     budget=self.budget,
                     parent=span,
                 )

@@ -33,7 +33,7 @@ from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.grid import on_grid
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
-from repro.sim.queues import FilterStore, Store
+from repro.sim.queues import Store
 from repro.sim.rand import RandomStreams
 from repro.sim.resources import Resource
 
@@ -41,7 +41,6 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Event",
-    "FilterStore",
     "Interrupt",
     "Process",
     "RandomStreams",

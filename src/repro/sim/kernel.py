@@ -86,9 +86,6 @@ class Simulator:
         """Start a new process from a generator."""
         return Process(self, generator, name=name)
 
-    # Alias familiar to simpy users.
-    process = spawn
-
     # -- scheduling -----------------------------------------------------
 
     def schedule(self, event: Event, delay: float = 0.0) -> None:
@@ -100,28 +97,6 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         heappush(self._queue, (self._now + delay, seq, event))
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if queue is empty."""
-        return self._queue[0][0] if self._queue else _INF
-
-    def step(self) -> None:
-        """Process exactly one event (advancing the clock to it)."""
-        if not self._queue:
-            raise SimError("step() on an empty event queue")
-        when, _seq, event = heappop(self._queue)
-        self._now = when
-        self.events_processed += 1
-        profiler = self._profiler
-        if profiler is None:
-            event._process()
-            return
-        start = _profile.perf_counter_ns()
-        try:
-            event._process()
-        finally:
-            end = _profile.perf_counter_ns()
-            profiler.on_event(event, when, end - start, end)
 
     # -- run loop -------------------------------------------------------
 

@@ -79,7 +79,7 @@ class Process(Event):
                 pass
             if not waited.callbacks and not waited.triggered:
                 # No live waiter left: let the event's source withdraw it
-                # (a Store removes the stale get/put so it cannot swallow
+                # (a Store removes the stale get so it cannot swallow
                 # an item meant for a later consumer).
                 waited.abandoned()
         self._waiting_on = None

@@ -1,47 +1,29 @@
 """Producer/consumer stores.
 
-A :class:`Store` is an asynchronous queue of Python objects with optional
-capacity: ``put`` blocks when full, ``get`` blocks when empty.  It backs
-message queues between simulated components (agent mailboxes, NIC
-completion queues, orchestrator work queues).
+A :class:`Store` is an unbounded FIFO queue of Python objects: ``get``
+blocks while it is empty, ``put`` never blocks.  It backs message queues
+between simulated components (device doorbells, NIC frames and
+completion hints, TX credits, socket inboxes).
 
-:class:`FilterStore` additionally lets consumers wait for an item matching
-a predicate, which models tag-matched completion (e.g. "wait for the
-completion of request id 17").
+``put`` hands its item straight to the oldest waiting get, and that
+get's event is the only one it schedules; with no getter waiting it
+appends the item and schedules nothing.  Nothing waits on a put, so it
+returns ``None`` and is never yielded.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Optional
+from typing import Any
 
 from repro.sim.events import Event
 
 
-class StorePut(Event):
-    __slots__ = ("item", "_store")
-
-    def __init__(self, store: "Store", item: Any):
-        super().__init__(store.sim, name="store-put")
-        self.item = item
-        self._store = store
-
-    def abandoned(self) -> None:
-        # Waiter interrupted while blocked on a full store: withdraw the
-        # pending put so the item is not inserted on a dead one's behalf.
-        try:
-            self._store._puts.remove(self)
-        except ValueError:
-            pass
-
-
 class StoreGet(Event):
-    __slots__ = ("predicate", "_store")
+    __slots__ = ("_store",)
 
-    def __init__(self, store: "Store",
-                 predicate: Optional[Callable[[Any], bool]] = None):
+    def __init__(self, store: "Store"):
         super().__init__(store.sim, name="store-get")
-        self.predicate = predicate
         self._store = store
 
     def abandoned(self) -> None:
@@ -56,98 +38,40 @@ class StoreGet(Event):
 
 
 class Store:
-    """Unordered-capacity FIFO store of items."""
+    """Unbounded FIFO store of items.
 
-    def __init__(self, sim, capacity: float = float("inf"),
-                 name: str = "store"):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
+    At most one of ``items`` and the waiting gets is non-empty: a put
+    with a getter waiting serves it, and a get with an item stored takes
+    it at once.
+    """
+
+    def __init__(self, sim, name: str = "store"):
         self.sim = sim
-        self.capacity = capacity
         self.name = name
         self.items: deque[Any] = deque()
-        self._puts: deque[StorePut] = deque()
         self._gets: deque[StoreGet] = deque()
 
     def __len__(self) -> int:
         return len(self.items)
 
-    def put(self, item: Any) -> StorePut:
-        """Insert ``item``; the returned event fires once it is stored."""
-        ev = StorePut(self, item)
-        self._puts.append(ev)
-        self._settle()
-        return ev
+    def put(self, item: Any) -> None:
+        """Hand ``item`` to the oldest waiting get, or store it."""
+        if self._gets:
+            self._gets.popleft().succeed(item)
+        else:
+            self.items.append(item)
 
     def get(self) -> StoreGet:
         """Remove one item; the returned event fires with the item."""
         ev = StoreGet(self)
-        self._gets.append(ev)
-        self._settle()
+        if self.items:
+            ev.succeed(self.items.popleft())
+        else:
+            self._gets.append(ev)
         return ev
 
     def try_get(self) -> Any:
         """Non-blocking get: return an item or None if empty."""
         if not self.items:
             return None
-        item = self.items.popleft()
-        self._settle()
-        return item
-
-    def _settle(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            # Admit pending puts while there is room.
-            while self._puts and len(self.items) < self.capacity:
-                put = self._puts.popleft()
-                self.items.append(put.item)
-                put.succeed()
-                progressed = True
-            # Serve pending gets while items are available.
-            served = self._serve_gets()
-            progressed = progressed or served
-
-    def _serve_gets(self) -> bool:
-        served = False
-        while self._gets and self.items:
-            get = self._gets.popleft()
-            get.succeed(self.items.popleft())
-            served = True
-        return served
-
-
-class FilterStore(Store):
-    """A store whose consumers may wait for items matching a predicate."""
-
-    def get(self, predicate: Optional[Callable[[Any], bool]] = None
-            ) -> StoreGet:
-        """Wait for an item for which ``predicate(item)`` is true.
-
-        ``None`` matches any item.
-        """
-        ev = StoreGet(self, predicate)
-        self._gets.append(ev)
-        self._settle()
-        return ev
-
-    def _serve_gets(self) -> bool:
-        served = False
-        # Repeatedly scan waiting gets against stored items; order of gets
-        # is preserved, each get takes the earliest matching item.
-        changed = True
-        while changed:
-            changed = False
-            for get in list(self._gets):
-                match_idx = None
-                for idx, item in enumerate(self.items):
-                    if get.predicate is None or get.predicate(item):
-                        match_idx = idx
-                        break
-                if match_idx is not None:
-                    item = self.items[match_idx]
-                    del self.items[match_idx]
-                    self._gets.remove(get)
-                    get.succeed(item)
-                    served = changed = True
-        return served
+        return self.items.popleft()

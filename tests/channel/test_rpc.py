@@ -1,7 +1,5 @@
 """Unit tests for the RPC layer over ring pairs."""
 
-import pytest
-
 from repro.channel.messages import (
     Completion,
     Doorbell,
@@ -81,8 +79,8 @@ def test_concurrent_calls_matched_by_request_id():
 
 def test_call_timeout_raises():
     sim, client, server = make_pair()
-    # Server registers no handler: requests fall to the reply store of the
-    # server side and are never answered.
+    # Server registers no handler: no call there waits for the requests,
+    # so its dispatcher drops them and they are never answered.
 
     def caller(sim):
         try:

@@ -16,7 +16,7 @@ def trace_run(seed: int, schedule):
     def producer(tag, delays):
         for idx, delay in enumerate(delays):
             yield sim.timeout(delay + float(rng.uniform(0, 5)))
-            yield store.put((tag, idx))
+            store.put((tag, idx))
             trace.append(("put", tag, idx, round(sim.now, 6)))
 
     def consumer(count):

@@ -93,19 +93,6 @@ def test_negative_timeout_rejected():
         sim.timeout(-5.0)
 
 
-def test_step_on_empty_queue_raises():
-    sim = Simulator()
-    with pytest.raises(SimError):
-        sim.step()
-
-
-def test_peek_reports_next_event_time():
-    sim = Simulator()
-    assert sim.peek() == float("inf")
-    sim.timeout(42.0)
-    assert sim.peek() == 42.0
-
-
 def test_shutdown_rejects_scheduling():
     sim = Simulator()
     sim.shutdown()

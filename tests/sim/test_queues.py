@@ -1,8 +1,6 @@
-"""Unit tests for Store / FilterStore."""
+"""Unit tests for Store."""
 
-import pytest
-
-from repro.sim import FilterStore, Interrupt, Simulator, Store
+from repro.sim import Interrupt, Simulator, Store
 
 
 def test_store_fifo_order():
@@ -12,7 +10,7 @@ def test_store_fifo_order():
 
     def producer(sim, store):
         for i in range(3):
-            yield store.put(i)
+            store.put(i)
             yield sim.timeout(1.0)
 
     def consumer(sim, store):
@@ -37,35 +35,12 @@ def test_store_get_blocks_until_put():
 
     def producer(sim, store):
         yield sim.timeout(25.0)
-        yield store.put("late")
+        store.put("late")
 
     sim.spawn(consumer(sim, store))
     sim.spawn(producer(sim, store))
     sim.run()
     assert times == [("late", 25.0)]
-
-
-def test_store_put_blocks_when_full():
-    sim = Simulator()
-    store = Store(sim, capacity=1)
-    events = []
-
-    def producer(sim, store):
-        yield store.put("a")
-        events.append(("put-a", sim.now))
-        yield store.put("b")
-        events.append(("put-b", sim.now))
-
-    def consumer(sim, store):
-        yield sim.timeout(40.0)
-        item = yield store.get()
-        events.append((f"got-{item}", sim.now))
-
-    sim.spawn(producer(sim, store))
-    sim.spawn(consumer(sim, store))
-    sim.run()
-    assert ("put-a", 0.0) in events
-    assert ("put-b", 40.0) in events  # unblocked by the get
 
 
 def test_try_get_nonblocking():
@@ -87,63 +62,26 @@ def test_len_reports_stored_items():
     assert len(store) == 4
 
 
-def test_capacity_must_be_positive():
+def test_put_schedules_no_event():
+    # Nothing waits on a put: with no getter waiting it only stores the
+    # item, and handing an item to a waiting get schedules that get's
+    # event and nothing else.
     sim = Simulator()
-    with pytest.raises(ValueError):
-        Store(sim, capacity=0)
-
-
-def test_filter_store_matches_predicate():
-    sim = Simulator()
-    store = FilterStore(sim)
-    got = []
-
-    def consumer(sim, store):
-        item = yield store.get(lambda x: x % 2 == 0)
-        got.append(item)
-
-    def producer(sim, store):
-        yield store.put(1)
-        yield store.put(3)
-        yield store.put(4)
-
-    sim.spawn(consumer(sim, store))
-    sim.spawn(producer(sim, store))
+    store = Store(sim)
+    before = sim._seq
+    assert store.put("stored") is None
+    assert sim._seq == before
+    assert list(store.items) == ["stored"]
+    got = store.get()
+    waiting = store.get()
     sim.run()
-    assert got == [4]
-    assert list(store.items) == [1, 3]
-
-
-def test_filter_store_tag_matched_completion():
-    # Models "wait for completion of my request id" semantics.
-    sim = Simulator()
-    store = FilterStore(sim)
-    got = {}
-
-    def waiter(sim, store, want):
-        item = yield store.get(lambda c: c["id"] == want)
-        got[want] = sim.now
-
-    def completer(sim, store):
-        yield sim.timeout(10.0)
-        yield store.put({"id": 2})
-        yield sim.timeout(10.0)
-        yield store.put({"id": 1})
-
-    sim.spawn(waiter(sim, store, 1))
-    sim.spawn(waiter(sim, store, 2))
-    sim.spawn(completer(sim, store))
+    assert got.value == "stored"
+    before = sim._seq
+    store.put("handed")
+    assert sim._seq == before + 1
     sim.run()
-    assert got == {2: 10.0, 1: 20.0}
-
-
-def test_filter_store_none_predicate_matches_any():
-    sim = Simulator()
-    store = FilterStore(sim)
-    store.put("anything")
-    ev = store.get()
-    sim.run()
-    assert ev.value == "anything"
+    assert waiting.value == "handed"
+    assert not store.items
 
 
 def test_interrupted_getter_does_not_swallow_items():
@@ -169,7 +107,7 @@ def test_interrupted_getter_does_not_swallow_items():
         yield sim.timeout(1.0)
         victim.interrupt(cause="torn down")
         yield sim.timeout(1.0)
-        yield store.put("payload")
+        store.put("payload")
 
     victim = sim.spawn(doomed(sim, store))
     sim.spawn(survivor(sim, store))
@@ -178,62 +116,3 @@ def test_interrupted_getter_does_not_swallow_items():
     assert got == ["payload"]
     assert not store._gets
 
-
-def test_interrupted_putter_withdraws_pending_put():
-    sim = Simulator()
-    store = Store(sim, capacity=1)
-    store.put("occupant")
-    got = []
-
-    def doomed(sim, store):
-        try:
-            yield store.put("from-the-grave")
-            got.append("doomed")  # pragma: no cover
-        except Interrupt:
-            pass
-
-    def driver(sim, store, victim):
-        yield sim.timeout(1.0)
-        victim.interrupt(cause="torn down")
-        yield sim.timeout(1.0)
-        got.append(store.try_get())
-        yield sim.timeout(1.0)
-        got.append(store.try_get())
-
-    victim = sim.spawn(doomed(sim, store))
-    sim.spawn(driver(sim, store, victim))
-    sim.run()
-    # Only the original occupant comes out; the dead putter's item and
-    # its queued put are both gone.
-    assert got == ["occupant", None]
-    assert not store._puts
-
-
-def test_interrupted_filter_getter_is_withdrawn():
-    sim = Simulator()
-    store = FilterStore(sim)
-    got = []
-
-    def doomed(sim, store):
-        try:
-            yield store.get(lambda item: item == "match")
-            got.append("doomed")  # pragma: no cover
-        except Interrupt:
-            pass
-
-    def survivor(sim, store):
-        item = yield store.get(lambda item: item == "match")
-        got.append(item)
-
-    def driver(sim, store, victim):
-        yield sim.timeout(1.0)
-        victim.interrupt(cause="torn down")
-        yield sim.timeout(1.0)
-        yield store.put("match")
-
-    victim = sim.spawn(doomed(sim, store))
-    sim.spawn(survivor(sim, store))
-    sim.spawn(driver(sim, store, victim))
-    sim.run()
-    assert got == ["match"]
-    assert not store._gets

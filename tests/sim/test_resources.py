@@ -81,6 +81,9 @@ def test_release_unheld_request_rejected():
 
 
 def test_cancel_pending_request():
+    # Releasing a request that was never granted withdraws it: the next
+    # request in line is granted at the holder's release, and the
+    # withdrawn one never triggers.
     sim = Simulator()
     res = Resource(sim, capacity=1)
 
@@ -91,11 +94,15 @@ def test_cancel_pending_request():
 
     sim.spawn(holder(sim, res))
     sim.run(until=1.0)
-    pending = res.request()
-    assert res.queued == 1
-    pending.cancel()
-    assert res.queued == 0
+    withdrawn = res.request()
+    following = res.request()
+    res.release(withdrawn)
+    res.release(withdrawn)  # a second release is a no-op
+    sim.run(until=following)
+    assert sim.now == 100.0
+    assert res.count == 1
     sim.run()
+    assert not withdrawn.triggered
 
 
 def test_capacity_must_be_positive():
