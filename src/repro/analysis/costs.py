@@ -15,7 +15,6 @@ Three comparisons the paper makes:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from scipy import stats

@@ -14,7 +14,7 @@ coming from polling alignment and CPU overheads.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

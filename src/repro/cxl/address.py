@@ -9,7 +9,6 @@ the links (§3), which is how a Granite-Rapids-class socket aggregates
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 #: CXL transaction granularity.
 CACHELINE_BYTES = 64

@@ -13,7 +13,7 @@ tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.cxl.address import CACHELINE_BYTES, AddressRange

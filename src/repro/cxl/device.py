@@ -81,6 +81,16 @@ class MemoryMedium:
             for fn in fns:
                 fn()
 
+    def _watched(self, addr: int, size: int) -> bool:
+        """True if a watch is armed on a line of ``[addr, addr+size)``."""
+        return bool(self._watchers) and _touches(
+            self._watchers.keys(), line_base(addr), addr + size)
+
+    def _poisoned(self, addr: int, size: int) -> bool:
+        """True if a line of ``[addr, addr+size)`` is poisoned."""
+        return bool(self.poisoned_lines) and _touches(
+            self.poisoned_lines, line_base(addr), addr + size)
+
     # -- RAS: poison ------------------------------------------------------
 
     def poison(self, addr: int) -> None:
@@ -162,12 +172,12 @@ class MemoryMedium:
         Each line scrubs its poison, and its watches fire right after it
         is stored, before the next line.
         """
-        end = addr + len(lines) * CACHELINE_BYTES
-        if addr % CACHELINE_BYTES or addr < 0 or end > self.capacity:
+        size = len(lines) * CACHELINE_BYTES
+        if addr % CACHELINE_BYTES or addr < 0 or addr + size > self.capacity:
             self._require_aligned(addr)
-            self._check(addr, end - addr)
-        bases = range(addr, end, CACHELINE_BYTES)
-        if not self.poisoned_lines and not self._watchers:
+            self._check(addr, size)
+        bases = range(addr, addr + size, CACHELINE_BYTES)
+        if not (self._poisoned(addr, size) or self._watched(addr, size)):
             self._lines.update(zip(bases, lines, strict=True))
             return
         for base, line in zip(bases, lines, strict=True):
@@ -193,10 +203,7 @@ class MemoryMedium:
             self._check(addr, size)
         bases = range(addr, end, CACHELINE_BYTES)
         lines = self._lines
-        if ((self.poisoned_lines
-             and not self.poisoned_lines.isdisjoint(bases))
-                or (self._watchers
-                    and not self._watchers.keys().isdisjoint(bases))):
+        if self._poisoned(addr, size) or self._watched(addr, size):
             for base in bases:
                 if self.poisoned_lines:
                     self._scrub(base)
@@ -222,7 +229,7 @@ class MemoryMedium:
             return b""
         first = line_base(addr)
         bases = range(first, addr + size, CACHELINE_BYTES)
-        if self.poisoned_lines and not self.poisoned_lines.isdisjoint(bases):
+        if self._poisoned(addr, size):
             for base in bases:
                 self._check_poison(base)
         data = b"".join(map(self._lines.get, bases, repeat(_ZERO_LINE)))
@@ -276,6 +283,14 @@ class MemoryMedium:
     def poisoned_resident(self) -> int:
         """Lines currently poisoned (injected and not yet scrubbed)."""
         return len(self.poisoned_lines)
+
+
+def _touches(keys, lo: int, hi: int) -> bool:
+    """True if a line base in ``keys`` (a set or a dict's keys) lies in
+    ``[lo, hi)``, ``lo`` line-aligned; walks the shorter of the two."""
+    if len(keys) * CACHELINE_BYTES < hi - lo:
+        return any(lo <= key < hi for key in keys)
+    return not keys.isdisjoint(range(lo, hi, CACHELINE_BYTES))
 
 
 class CxlMemoryDevice(MemoryMedium):

@@ -20,12 +20,12 @@ inside a simulation process).  The semantics that matter for correctness:
 
 from __future__ import annotations
 
-from itertools import pairwise
+from itertools import chain
 from typing import TYPE_CHECKING
 
 from repro.cxl.address import CACHELINE_BYTES, line_base, line_range
 from repro.cxl.cache import CpuCache
-from repro.cxl.device import PoisonedMemoryError
+from repro.cxl.device import PoisonedMemoryError, _touches
 from repro.cxl.link import DmaCompletion, LinkDownError
 from repro.cxl.mhd import MhdFailedError
 from repro.sim import Timeout
@@ -68,7 +68,7 @@ class HostMemorySystem:
         # survive fail/repair), so line -> (mhd, media, dev_addr, link) is
         # a pure function worth caching for single-line accesses —
         # pollers hit the same line every few tens of ns.  Bulk copies
-        # and DMAs walk device extents instead and leave the memo alone.
+        # and DMAs walk device runs instead and leave the memo alone.
         # Liveness is still checked per access.
         self._pool_base = pod.pool_range.base
         self._pool_top = pod.pool_range.base + pod.pool_range.size
@@ -127,8 +127,8 @@ class HostMemorySystem:
         return None, self.port.local_dram, addr, None
 
     def _extents(self, addr: int, size: int) -> list[tuple]:
-        """A span's device extents (:meth:`CxlPod.extents`); a span in
-        local DRAM is one extent whose MHD index is None."""
+        """A span's device runs (:meth:`CxlPod.extents`); a span in
+        local DRAM is one run whose MHD index is None."""
         if self._pool_base <= addr < self._pool_top:
             return self.pod.extents(addr, size)
         return [(None, self.port.local_dram, addr, size)]
@@ -272,7 +272,13 @@ class HostMemorySystem:
 
     def _commit_nt(self, addr: int, data: bytes) -> None:
         """Draw one NT store's latency, enter it in the store buffer and
-        post its landing.
+        post its landing."""
+        delay, run = self._stage_nt(addr, data)
+        self._post_lines(delay, (run,), "nt-drain")
+
+    def _stage_nt(self, addr: int, data: bytes) -> tuple:
+        """Draw one NT store's latency and enter it in the store buffer;
+        returns ``(delay, run)`` for :meth:`_post_lines`.
 
         The draw comes first: a store to a down link raises before it
         leaves a store-buffer entry that no landing would ever retire.
@@ -283,38 +289,45 @@ class HostMemorySystem:
         self._store_wid += 1
         wid = self._store_wid
         self._store_buffer[addr] = (wid, data)
-        self._post_lines(delay, ((addr, (data,), wid, mhd, media, dev),),
-                         "nt-drain")
+        return delay, ((addr,), (data,), (wid,), mhd, media, dev)
 
     def _post_lines(self, delay: float, runs, name: str) -> None:
         """Land posted runs ``delay`` ns from now.
 
-        A run is ``(addr, lines, wid, mhd, medium, device_addr)``: whole
-        64 B ``lines`` stored from ``addr`` on, on one device extent.
-        One kernel event, no process, lands runs due at the same instant,
-        in order: NT stores (``wid`` names the first line's store-buffer
-        entry, the next line's is ``wid + 1``) or a dirty-eviction
-        writeback (``wid`` None).
+        A run is ``(bases, lines, wids, mhd, medium, device_addr)``:
+        whole 64 B ``lines`` stored on one device run from
+        ``device_addr`` on, ``bases`` their addresses in this host's
+        view and ``wids`` their store-buffer entries (None for a
+        dirty-eviction writeback).  One kernel event, no process, lands
+        the runs due at the same instant, in order.
         """
         landing = Timeout(self.sim, delay, value=runs, name=name)
         landing.callbacks.append(self._land_lines)
 
     def _land_lines(self, landing: Timeout) -> None:
+        runs = landing.value
+        if len(runs) > 1 and any(medium._watched(dev, len(lines)
+                                                 * CACHELINE_BYTES)
+                                 for _b, lines, _w, _mhd, medium, dev in runs):
+            # Watches fire in address order: land line by line.
+            runs = sorted(
+                ((base,), (line,), None if wids is None else (wids[k],),
+                 mhd, medium, dev + k * CACHELINE_BYTES)
+                for bases, lines, wids, mhd, medium, dev in runs
+                for k, (base, line) in enumerate(zip(bases, lines)))
         buffer = self._store_buffer
-        for addr, lines, wid, mhd, medium, dev in landing.value:
+        for bases, lines, wids, mhd, medium, dev in runs:
             if mhd is not None and mhd.failed:
                 # Posted write to a device that died in flight: the write
                 # is lost (counted), never silently half-applied.
                 self.stores_dropped += len(lines)
             else:
                 medium.write_lines(dev, lines)
-            if wid is not None:
-                for base in range(addr, addr + len(lines) * CACHELINE_BYTES,
-                                  CACHELINE_BYTES):
+            if wids is not None:
+                for base, wid in zip(bases, wids):
                     entry = buffer.get(base)
                     if entry is not None and entry[0] == wid:
                         del buffer[base]
-                    wid += 1
 
     # -- convenience span operations (CPU, cached) -------------------------------
 
@@ -344,6 +357,18 @@ class HostMemorySystem:
 
     def read_span(self, addr: int, size: int, uncached: bool = False):
         """Process: load an arbitrary span line by line; returns bytes."""
+        off = addr % CACHELINE_BYTES
+        if uncached and 0 < size <= CACHELINE_BYTES - off:
+            # One line: load_line_uncached() inline (ring-slot and CQ
+            # polls), with its sample-then-latency order.
+            base = addr - off
+            buffered = self._store_buffer.get(base)
+            line = (buffered[1] if buffered is not None
+                    else self._medium_read_line(base))
+            yield self.sim.timeout(
+                self.timings.cpu_issue_ns + self._miss_latency(base)
+            )
+            return line[off:off + size]
         out = bytearray()
         for base in line_range(addr, size):
             if uncached:
@@ -390,33 +415,32 @@ class HostMemorySystem:
 
     # -- bulk (memcpy-style) operations --------------------------------------
 
-    def _stream_time(self, extents) -> float:
-        """Pipelined streaming time for a bulk CPU copy over ``extents``."""
-        per_link = _bytes_per_link(extents)
-        if None in per_link:
-            return per_link[None] / self.timings.ddr5_bandwidth_gbps
-        return max(
-            nbytes / self.port.links[idx].bandwidth
-            for idx, nbytes in per_link.items()
-        )
+    def _stream_time(self, runs) -> float:
+        """Pipelined streaming time for a bulk CPU copy over ``runs``."""
+        idx, _media, _dev, length = runs[0]
+        if idx is None:
+            return length / self.timings.ddr5_bandwidth_gbps
+        links = self.port.links
+        return max(length / links[idx].bandwidth
+                   for idx, _media, _dev, length in runs)
 
     def write_bulk(self, addr: int, data: bytes, nt: bool = False):
         """Process: streaming store of an arbitrary span (memcpy).
 
         Pays one issue cost plus bandwidth-bound streaming time, then
         commits every line atomically in a single resume.  With
-        ``nt=True`` the lines commit one device extent at a time (see
-        :meth:`_commit_extent`), and the lines that land at the same
-        instant land together, in commit order, in one event.  This is
-        how payload buffers are filled; per-line :meth:`write_span` is
-        for small control structures.
+        ``nt=True`` the lines commit one device run at a time (see
+        :meth:`_commit_runs`), and the lines that land at the same
+        instant land together, in one event.  This is how payload
+        buffers are filled; per-line :meth:`write_span` is for small
+        control structures.
         """
         size = len(data)
         if size == 0:
             return
-        extents = self._extents(addr, size)
+        runs = self._extents(addr, size)
         yield self.sim.timeout(
-            self.timings.cpu_issue_ns + self._stream_time(extents)
+            self.timings.cpu_issue_ns + self._stream_time(runs)
         )
         if not nt:
             for base in line_range(addr, size):
@@ -424,87 +448,82 @@ class HostMemorySystem:
                     self.cache.write(base, self._line_of(base, addr, data)))
             return
         data = bytes(data)
-        now = self.sim.now
         # Landing instant -> (delay, runs).  Keyed on the instant, not
         # the delay: two delays can round to one instant.
         landings: dict[float, tuple[float, list]] = {}
         mhds, links = self.pod.mhds, self.port.links
         try:
-            start = addr
-            for idx, media, dev, length in extents:
-                mhd = link = None
-                if idx is not None:
-                    mhd, link = mhds[idx], links[idx]
-                stop = start + length
-                lo = line_base(start)
-                if lo < addr:
-                    # The span's partial first line.
-                    self._commit_extent(
-                        landings, now, lo, [self._line_of(lo, addr, data)],
-                        mhd, media, dev + lo - start, link)
-                    lo += CACHELINE_BYTES
-                whole = stop - stop % CACHELINE_BYTES
-                if whole > lo:
-                    self._commit_extent(
-                        landings, now, lo,
-                        [data[pos:pos + CACHELINE_BYTES] for pos in
-                         range(lo - addr, whole - addr, CACHELINE_BYTES)],
-                        mhd, media, dev + lo - start, link)
-                if whole < stop and whole >= lo:
-                    # The span's partial last line.
-                    self._commit_extent(
-                        landings, now, whole,
-                        [self._line_of(whole, addr, data)],
-                        mhd, media, dev + whole - start, link)
-                start = stop
+            if any(idx is not None and (mhds[idx].failed or not links[idx].up
+                                        or links[idx].jitter_ns > 0.0)
+                   for idx, _media, _dev, _length in runs):
+                # A failed MHD, a down link or a jittered link makes the
+                # order across runs observable: commit line by line.
+                now = self.sim.now
+                for base in line_range(addr, size):
+                    line = self._line_of(base, addr, data)
+                    self.cache.drop_clean(base)
+                    delay, run = self._stage_nt(base, line)
+                    _join(landings, now + delay, delay, run)
+            else:
+                self._commit_runs(landings, addr, data, runs)
         finally:
             # A down link or a dead MHD raises mid-payload: the lines
             # committed before it still land.
-            for delay, runs in landings.values():
-                self._post_lines(delay, runs, "nt-drain")
+            for delay, posted in landings.values():
+                self._post_lines(delay, posted, "nt-drain")
 
-    def _commit_extent(self, landings: dict, now: float, base: int,
-                       lines: list, mhd, media, dev: int, link) -> None:
-        """NT-commit whole ``lines`` from ``base`` on, all on one device
-        extent: one latency draw, one cache snoop and one store-buffer
-        update, then the run joins ``landings`` by landing instant.
+    def _commit_runs(self, landings: dict, addr: int, data: bytes,
+                     runs: list) -> None:
+        """NT-commit a payload over healthy, unjittered ``runs``: one
+        cache snoop and one store-buffer update for the payload, then one
+        latency draw per run, which joins ``landings`` by landing instant.
 
-        Every state change and raise happens where a per-line loop
-        (snoop, draw, store-buffer entry, line by line) makes it: over a
-        down link only the first line is snooped before the raise.  A
-        jittered run whose lines land at different instants splits into
-        one run per instant.
+        No step can fail over such runs, so the state after it is the
+        state the per-line loop (merge, snoop, draw, store-buffer entry,
+        line by line) leaves.  Runs join ``landings`` in first-touch
+        order, so landing instants appear in the order that loop meets
+        them; a landing lands its runs' lines in address order where a
+        watch could tell (:meth:`_land_lines`).
         """
+        size = len(data)
+        lo = line_base(addr)
+        stop = addr + size
+        whole = stop - stop % CACHELINE_BYTES
+        lines = []
+        first = lo
+        if lo < addr:
+            # The span's partial first line.
+            lines.append(self._line_of(lo, addr, data))
+            first += CACHELINE_BYTES
+        lines += [data[pos:pos + CACHELINE_BYTES] for pos in
+                  range(first - addr, whole - addr, CACHELINE_BYTES)]
+        if first <= whole < stop:
+            # The span's partial last line.
+            lines.append(self._line_of(whole, addr, data))
         n = len(lines)
-        if link is None:
-            delays = [self.timings.ddr5_store_ns] * n
-        else:
-            try:
-                delays = link.store_lines(n)
-            except LinkDownError:
-                self.cache.drop_clean(base)
-                raise
-        self.cache.drop_span(base, n * CACHELINE_BYTES)
-        wid = self._store_wid + 1
+        bases = range(lo, lo + n * CACHELINE_BYTES, CACHELINE_BYTES)
+        wids = range(self._store_wid + 1, self._store_wid + 1 + n)
         self._store_wid += n
-        self._store_buffer.update(zip(
-            range(base, base + n * CACHELINE_BYTES, CACHELINE_BYTES),
-            zip(range(wid, wid + n), lines, strict=True), strict=True))
-        if delays.count(delays[0]) == n:
-            cuts = [0, n]
-        else:
-            cuts = [0] + [k for k in range(1, n)
-                          if now + delays[k] != now + delays[k - 1]] + [n]
-        for i, j in pairwise(cuts):
-            delay = delays[i]
-            at = now + delay
-            off = i * CACHELINE_BYTES
-            run = (base + off, lines[i:j], wid + i, mhd, media, dev + off)
-            group = landings.get(at)
-            if group is None:
-                landings[at] = (delay, [run])
+        self.cache.drop_span(addr, size)
+        self._store_buffer.update(zip(bases, zip(wids, lines, strict=True),
+                                      strict=True))
+        mhds, links = self.pod.mhds, self.port.links
+        shares = zip(*[self.pod._gather(lo, seq, runs, CACHELINE_BYTES,
+                                        _chained)
+                       for seq in (bases, lines, wids)], strict=True)
+        now = self.sim.now
+        for (idx, media, dev, _length), (run_bases, run_lines, run_wids) \
+                in zip(runs, shares, strict=True):
+            if idx is None:
+                mhd, delay = None, self.timings.ddr5_store_ns
             else:
-                group[1].append(run)
+                mhd = mhds[idx]
+                delay = links[idx].store_lines(len(run_lines))[0]
+            # A run's first line is the span's first line, or starts an
+            # interleave block.
+            dev -= dev % CACHELINE_BYTES
+            _join(landings, now + delay, delay,
+                  (run_bases, run_lines, run_wids, mhd, media, dev))
 
     def read_bulk(self, addr: int, size: int, uncached: bool = False):
         """Process: streaming load of an arbitrary span (memcpy).
@@ -512,46 +531,38 @@ class HostMemorySystem:
         Pays one leading-miss latency plus bandwidth-bound streaming time.
         Data is assembled from this host's coherent view (cache unless
         ``uncached``, store buffer, then device); lines are not installed
-        in the cache (streaming semantics).  A device extent none of whose
-        lines this host holds is read with one media call; otherwise its
-        lines are read one by one.
+        in the cache (streaming semantics).  Each device run is read with
+        one media call and this host's lines are laid over the result;
+        a span on a failed MHD or with a poisoned line is read line by
+        line, so the line that raises is the one the line loop meets
+        first.
         """
         if size == 0:
             return b""
         miss = self._miss_latency(addr - addr % CACHELINE_BYTES)
-        extents = self._extents(addr, size)
+        runs = self._extents(addr, size)
         yield self.sim.timeout(
-            self.timings.cpu_issue_ns + miss + self._stream_time(extents)
+            self.timings.cpu_issue_ns + miss + self._stream_time(runs)
         )
-        buffer = self._store_buffer
         mhds = self.pod.mhds
-        parts = []
-        start = addr
-        for idx, media, dev, length in extents:
-            stop = start + length
-            bases = range(line_base(start), stop, CACHELINE_BYTES)
-            shadowed = bool(buffer) and not buffer.keys().isdisjoint(bases)
-            if not uncached:
-                # A cached read also sees this host's cache, and merges
-                # a poisoned line as zeros.
-                shadowed = (shadowed or self.cache.holds_any(bases)
-                            or bool(media.poisoned_lines))
-            if shadowed:
-                for base in bases:
-                    if uncached:
-                        buffered = buffer.get(base)
-                        line = (buffered[1] if buffered is not None
-                                else self._medium_read_line(base))
-                    else:
-                        line = self._peek_line(base)
-                    parts.append(line[max(start - base, 0):
-                                      min(stop - base, CACHELINE_BYTES)])
-            else:
-                if idx is not None and mhds[idx].failed:
-                    raise MhdFailedError(mhds[idx])
-                parts.append(media.read(dev, length))
-            start = stop
-        return b"".join(parts)
+        if any((idx is not None and mhds[idx].failed)
+               or media._poisoned(dev, length)
+               for idx, media, dev, length in runs):
+            buffer = self._store_buffer
+            parts = []
+            for base in line_range(addr, size):
+                if uncached:
+                    buffered = buffer.get(base)
+                    line = (buffered[1] if buffered is not None
+                            else self._medium_read_line(base))
+                else:
+                    line = self._peek_line(base)
+                parts.append(line[max(addr - base, 0):
+                                  min(addr + size - base, CACHELINE_BYTES)])
+            return b"".join(parts)
+        data = self.pod._scatter(addr, [media.read(dev, length)
+                                        for _idx, media, dev, length in runs])
+        return self._overlay(addr, data, not uncached, dirty_only=False)
 
     # -- DMA (device-initiated on this host) ---------------------------------------
 
@@ -564,11 +575,11 @@ class HostMemorySystem:
         hosts' caches are NOT — the cross-host hazard the design works
         around.
         """
-        yield from self._dma(addr, len(data), write=True)
-        if self._is_pool(addr):
-            self.pod.pool_write(addr, data)
-        else:
+        runs = yield from self._dma(addr, len(data), write=True)
+        if runs is None:
             self.port.local_dram.write(addr, data)
+        else:
+            self.pod._write_runs(addr, data, runs)
         self.cache.drop_span(addr, len(data))
 
     def dma_read(self, addr: int, size: int):
@@ -577,51 +588,65 @@ class HostMemorySystem:
         Snoops this host's dirty cache lines (local DMA is coherent) but
         sees only device data for lines dirtied on *other* hosts.
         """
-        yield from self._dma(addr, size, write=False)
-        if self._is_pool(addr):
-            data = self.pod.pool_read(addr, size)
-        else:
+        runs = yield from self._dma(addr, size, write=False)
+        if runs is None:
             data = self.port.local_dram.read(addr, size)
-        # Overlay this host's dirty lines, then its store buffer (snoop):
-        # local DMA is coherent with the issuing host, never with remote
-        # hosts.  Only the span's own lines are probed.
+        else:
+            data = self.pod._read_runs(addr, size, runs)
+        return self._overlay(addr, data, True, dirty_only=True)
+
+    def _overlay(self, addr: int, data: bytes, cached: bool,
+                 dirty_only: bool) -> bytes:
+        """``data``, the span from ``addr``, with this host's own lines
+        laid over it: a cached line if ``cached`` (only a dirty one with
+        ``dirty_only``), else a store-buffer entry.  Only the span's own
+        lines are probed."""
         buffer = self._store_buffer
-        if not (len(self.cache) or buffer):
+        held = self.cache._lines if cached else {}
+        if not (held or buffer):
             return data
-        bases = line_range(addr, size)
-        if not (self.cache.holds_any(bases)
-                or (buffer and not buffer.keys().isdisjoint(bases))):
+        size = len(data)
+        lo = line_base(addr)
+        hi = addr + size
+        if not (held and _touches(held.keys(), lo, hi)
+                or buffer and _touches(buffer.keys(), lo, hi)):
             return data
-        data = bytearray(data)
-        for base in bases:
-            line = self.cache.dirty_line(base)
-            if line is None:
+        out = bytearray(data)
+        for base in line_range(addr, size):
+            entry = held.get(base)
+            if entry is not None and (entry[1] or not dirty_only):
+                line = entry[0]
+            else:
                 buffered = buffer.get(base)
                 if buffered is None:
                     continue
                 line = buffered[1]
             start = max(addr, base)
-            end = min(addr + size, base + CACHELINE_BYTES)
-            data[start - addr:end - addr] = line[start - base:end - base]
-        return bytes(data)
+            end = min(hi, base + CACHELINE_BYTES)
+            out[start - addr:end - addr] = line[start - base:end - base]
+        return bytes(out)
 
     def _dma(self, addr: int, size: int, write: bool):
+        """Process: a DMA's transfer time; returns the pool span's device
+        runs (:meth:`CxlPod.extents`), or None for local DRAM."""
         if not self._is_pool(addr):
             # Local DRAM: pay DDR bandwidth + store/load latency.
             serialize = size / self.timings.ddr5_bandwidth_gbps
             base_lat = (self.timings.ddr5_store_ns if write
                         else self.timings.ddr5_load_ns)
             yield self.sim.timeout(serialize + base_lat)
-            return
-        # Pool: one share per link per the interleave map, in parallel.
+            return None
+        # Pool: one share per link (one run per MHD), in parallel.
         if size <= 0:
             raise ValueError(f"DMA size must be positive, got {size}")
-        per_link = _bytes_per_link(self.pod.extents(addr, size))
-        done = DmaCompletion(self.sim, len(per_link), self.timings, write)
+        runs = self.pod.extents(addr, size)
+        done = DmaCompletion(self.sim, len(runs), self.timings, write)
         links = self.port.links
-        for link_idx, nbytes in sorted(per_link.items()):
-            links[link_idx].book(done, nbytes, write)
+        # Booked in link order; a span's runs are on distinct MHDs.
+        for idx, _media, _dev, length in sorted(runs):
+            links[idx].book(done, length, write)
         yield done.event
+        return runs
 
     # -- internals ---------------------------------------------------------------
 
@@ -650,10 +675,16 @@ class HostMemorySystem:
         return f"<HostMemorySystem {self.host_id}>"
 
 
-def _bytes_per_link(extents) -> dict:
-    """Bytes per MHD index (None for local DRAM) over ``extents``, in
-    first-touch order."""
-    per_link: dict = {}
-    for idx, _media, _dev, length in extents:
-        per_link[idx] = per_link.get(idx, 0) + length
-    return per_link
+
+def _join(landings: dict, at: float, delay: float, run: tuple) -> None:
+    """Add a posted run to the group landing at instant ``at``."""
+    group = landings.get(at)
+    if group is None:
+        landings[at] = (delay, [run])
+    else:
+        group[1].append(run)
+
+
+def _chained(parts) -> list:
+    """One list of the items of ``parts``, in order."""
+    return list(chain.from_iterable(parts))

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 from repro.cxl.address import (
     AddressRange, CACHELINE_BYTES, InterleaveMap, INTERLEAVE_BYTES, line_base,
+    line_range,
 )
 from repro.cxl.allocator import Allocation, AllocationError, PoolAllocator
 from repro.cxl.device import CxlMemoryDevice, LocalDram
@@ -243,22 +244,31 @@ class CxlPod:
         return self.route(addr)[0]
 
     def extents(self, addr: int, size: int) -> list[tuple]:
-        """Split a pool span into device extents, in address order.
+        """Split a pool span into device runs, one per MHD it touches.
 
-        Returns ``(mhd_index, media, device_addr, length)`` runs: one per
-        interleave block the span touches, or one for a span inside an
-        MHD's RAS window.  This is :meth:`route` for a span; bulk copies,
-        DMAs and the allocation scrub walk these instead of 64 B lines.
+        Returns ``(mhd_index, media, device_addr, length)`` runs in
+        first-touch order: the MHD of the span's first interleave block,
+        then that of its second, and so on, or one run for a span inside
+        an MHD's RAS window.  Block ``k`` of the interleaved region is
+        block ``k // n_mhds`` of MHD ``k % n_mhds``, so the blocks a span
+        puts on one MHD sit next to each other in that MHD's device
+        space, and run ``r`` holds the span's blocks ``r``, ``r +
+        n_mhds``, ...  This is :meth:`route` for a span; bulk copies,
+        DMAs and the allocation scrub make one media call per run.
         Raises ValueError for a span that leaves the pool, straddles the
         interleaved/direct boundary or crosses a RAS window.
         """
-        offset = self.pool_range.offset_of(addr)
-        if not self.pool_range.contains(addr, size):
+        offset = addr - POOL_BASE
+        capacity = self.config.pool_capacity
+        if not 0 <= offset < capacity or offset + size > capacity:
+            self.pool_range.offset_of(addr)  # raises for an outside addr
             raise ValueError(
                 f"pool span [{addr:#x}, {addr + size:#x}) exceeds pool"
             )
-        if size == 0:
-            return []
+        if size <= 0:
+            if size == 0:
+                return []
+            raise ValueError(f"size must be positive, got {size}")
         if offset + size > self.interleaved_capacity:
             if offset < self.interleaved_capacity:
                 raise ValueError(
@@ -274,17 +284,56 @@ class CxlPod:
                 )
             return [(mhd_idx, self.mhds[mhd_idx].memory,
                      self.config.direct_offset + within, size)]
-        # Block k of the interleaved region is block k // n_mhds of MHD
-        # k % n_mhds, as in route().
         gran = self.interleave.granularity
-        stripe = gran * self.config.n_mhds
-        mhds = self.mhds
-        return [
-            (mhd_idx, mhds[mhd_idx].memory,
-             chunk_off // stripe * gran + chunk_off % gran, chunk_size)
-            for mhd_idx, chunk_off, chunk_size
-            in self.interleave.split(offset, size)
-        ]
+        n = self.config.n_mhds
+        end = offset + size
+        first, last = offset // gran, (end - 1) // gran
+        runs = []
+        for block in range(first, min(first + n, last + 1)):
+            # The run's first and last block, and its device span.
+            top = block + (last - block) // n * n
+            start = max(offset, block * gran)
+            dev = block // n * gran + start % gran
+            dev_end = top // n * gran + min(end - top * gran, gran)
+            mhd_idx = block % n
+            runs.append((mhd_idx, self.mhds[mhd_idx].memory, dev,
+                         dev_end - dev))
+        return runs
+
+    def _stripe(self, addr: int, unit: int) -> tuple[int, int, int]:
+        """How the span from pool address ``addr`` stripes over its runs,
+        in ``unit``s (1 for bytes, 64 for lines of a line-aligned span):
+        ``(head, block, stride)``, the units of its first interleave
+        block before ``addr``, one block and one round of blocks."""
+        gran = self.interleave.granularity
+        return ((addr - self.pool_range.base) % gran // unit, gran // unit,
+                gran // unit * self.config.n_mhds)
+
+    def _gather(self, addr: int, seq, runs: list, unit: int,
+                join) -> list:
+        """Each run's share of ``seq``, in device order: ``seq`` is the
+        span's bytes from ``addr`` (``unit`` 1) or its lines from
+        line-aligned ``addr`` (``unit`` 64), ``runs`` its
+        :meth:`extents`, and ``join`` makes a share of a run's slices."""
+        if len(runs) == 1:
+            return [seq]
+        head, block, stride = self._stripe(addr, unit)
+        return [join(_slices(seq, r * block - head, block, stride))
+                for r in range(len(runs))]
+
+    def _scatter(self, addr: int, shares: list) -> bytes:
+        """The span's bytes from ``addr``, given each run's share in
+        device order: the inverse of :meth:`_gather`."""
+        if len(shares) == 1:
+            return shares[0]
+        head, block, _stride = self._stripe(addr, 1)
+        n = self.config.n_mhds
+        blocks = [_slices(share, -head if r == 0 else 0, block, block)
+                  for r, share in enumerate(shares)]
+        parts = [None] * sum(map(len, blocks))
+        for r, share_blocks in enumerate(blocks):
+            parts[r::n] = share_blocks
+        return b"".join(parts)
 
     # -- functional pool access (no timing; used by media-side agents) --------
 
@@ -292,36 +341,82 @@ class CxlPod:
         """Read pool bytes directly from the media (no cache, no timing).
 
         Raises :class:`~repro.cxl.mhd.MhdFailedError` before reading any
-        byte if any chunk targets a failed MHD; a poisoned line raises
-        :class:`~repro.cxl.device.PoisonedMemoryError` from the media.
+        byte if any run targets a failed MHD; the first poisoned line in
+        address order raises :class:`~repro.cxl.device.PoisonedMemoryError`
+        from the media.
         """
-        extents = self.extents(addr, size)
-        for mhd_idx, _media, _dev, _size in extents:
+        return self._read_runs(addr, size, self.extents(addr, size))
+
+    def _read_runs(self, addr: int, size: int, runs: list) -> bytes:
+        """:meth:`pool_read` over the span's ``runs`` (:meth:`extents`)."""
+        for mhd_idx, _media, _dev, _size in runs:
             self.mhds[mhd_idx].check_alive()
-        return b"".join([media.read(dev_addr, chunk_size)
-                         for _idx, media, dev_addr, chunk_size in extents])
+        if len(runs) > 1 and any(media._poisoned(dev, length)
+                                 for _idx, media, dev, length in runs):
+            # Poison on the run the span touches first can lie after
+            # poison on another: read line by line, in address order.
+            return b"".join([media.read(dev, length) for
+                             _pos, length, _idx, media, dev
+                             in self._line_walk(addr, size)])
+        return self._scatter(addr, [media.read(dev, length)
+                                    for _idx, media, dev, length in runs])
 
     def pool_write(self, addr: int, data: bytes) -> None:
         """Write pool bytes directly to the media (no cache, no timing).
 
-        Atomic with respect to MHD failure: every chunk's device is
+        Atomic with respect to MHD failure: every run's device is
         health-checked *before* the first byte lands, so a write to a pod
         with a dead MHD in its stripe fails cleanly with zero bytes
-        written.  If a chunk write still fails mid-loop (defensive), the
+        written.  If a run write still fails mid-loop (defensive), the
         tear is reported explicitly as :class:`PartialPoolWriteError`
-        rather than surfacing as a silent partial update.
+        rather than surfacing as a silent partial update.  Line watches
+        fire in address order: a span over several MHDs with a watched
+        line is written line by line.
         """
-        extents = self.extents(addr, len(data))
-        for mhd_idx, _media, _dev, _size in extents:
+        self._write_runs(addr, data, self.extents(addr, len(data)))
+
+    def _write_runs(self, addr: int, data: bytes, runs: list) -> None:
+        """:meth:`pool_write` over the span's ``runs`` (:meth:`extents`)."""
+        size = len(data)
+        for mhd_idx, _media, _dev, _size in runs:
             self.mhds[mhd_idx].check_alive()
+        if len(runs) > 1 and any(media._watched(dev, length)
+                                 for _idx, media, dev, length in runs):
+            gran = self.interleave.granularity
+            for pos, length, mhd_idx, media, dev in self._line_walk(addr,
+                                                                    size):
+                try:
+                    if pos == 0 or dev % gran == 0:
+                        # An interleave block starts: check its MHD.
+                        self.mhds[mhd_idx].check_alive()
+                    media.write(dev, data[pos:pos + length])
+                except LinkDownError as exc:
+                    raise PartialPoolWriteError(addr, pos, size) from exc
+            return
         pos = 0
-        for mhd_idx, media, dev_addr, chunk_size in extents:
+        for (mhd_idx, media, dev, length), share in zip(
+                runs, self._gather(addr, data, runs, 1, b"".join),
+                strict=True):
             try:
                 self.mhds[mhd_idx].check_alive()
-                media.write(dev_addr, data[pos:pos + chunk_size])
+                media.write(dev, share)
             except LinkDownError as exc:
-                raise PartialPoolWriteError(addr, pos, len(data)) from exc
-            pos += chunk_size
+                raise PartialPoolWriteError(addr, pos, size) from exc
+            pos += length
+
+    def _line_walk(self, addr: int, size: int) -> list[tuple]:
+        """The span's pieces of 64 B lines in address order, routed:
+        ``(pos, length, mhd_index, media, device_addr)``, ``pos`` being
+        the piece's offset in the span.  The per-line path of the bulk
+        operations, for spans whose order across runs can be observed."""
+        end = addr + size
+        walk = []
+        for base in line_range(addr, size):
+            at = max(base, addr)
+            mhd_idx, media, dev = self.route(at)
+            walk.append((at - addr, min(base + CACHELINE_BYTES, end) - at,
+                         mhd_idx, media, dev))
+        return walk
 
     # -- RAS verbs (fault injection & recovery) -------------------------------
 
@@ -473,8 +568,16 @@ class CxlPod:
         liveness; interleaving requires every MHD up), so the scrub
         never touches a failed device.
         """
-        for _idx, media, dev_addr, size in self.extents(rng.base, rng.size):
-            media.clear_lines(dev_addr, size)
+        runs = self.extents(rng.base, rng.size)
+        if len(runs) > 1 and any(media._watched(dev, size)
+                                 for _idx, media, dev, size in runs):
+            # Watches fire in address order, line by line.
+            for _pos, size, _idx, media, dev in self._line_walk(rng.base,
+                                                               rng.size):
+                media.clear_lines(dev, size)
+            return
+        for _idx, media, dev, size in runs:
+            media.clear_lines(dev, size)
 
     def pick_ras_mhd(self) -> int:
         """Next healthy MHD in round-robin order (λ-redundant spreading).
@@ -538,3 +641,9 @@ class CxlPod:
             f"<CxlPod hosts={len(self.hosts)} mhds={len(self.mhds)} "
             f"pool={self.config.pool_capacity >> 30}GiB>"
         )
+
+
+def _slices(seq, first: int, length: int, step: int) -> list:
+    """``seq[i:i + length]`` for ``i`` from ``first`` by ``step`` while
+    inside ``seq``, a slice starting before ``seq`` clipped to its start."""
+    return [seq[max(i, 0):i + length] for i in range(first, len(seq), step)]

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.datapath.netstack import UdpSocket
 from repro.sim import Interrupt, Store

@@ -19,7 +19,7 @@ because two PCIe-5.0 x8 CXL links out-carry a 100 Gbps NIC.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from repro.cxl.link import LinkDownError
 from repro.pcie.device import DeviceFailedError, PcieDevice
-from repro.pcie.fabric import EthernetFrame, EthernetSwitch
+from repro.pcie.fabric import EthernetSwitch
 from repro.pcie.rings import (
     COMPLETION_BYTES,
     DESCRIPTOR_BYTES,

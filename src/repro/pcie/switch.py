@@ -15,7 +15,7 @@ Two pieces:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.pcie.device import PcieDevice
 from repro.sim import Simulator

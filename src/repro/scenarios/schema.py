@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import pathlib
 from dataclasses import dataclass, field, fields
-from typing import Any, Optional
+from typing import Optional
 
 from repro.faults.campaign import ChaosConfig
 from repro.faults import spec as _fault_spec

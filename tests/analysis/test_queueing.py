@@ -1,7 +1,5 @@
 """Queueing math tests."""
 
-import math
-
 import pytest
 
 from repro.analysis.queueing import (

@@ -1,6 +1,5 @@
 """Fragmentation layer tests: arbitrary payloads over 61 B slots."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -1,6 +1,5 @@
 """Tests for the provisioning-for-peak sqrt(N) model (EST1)."""
 
-import numpy as np
 import pytest
 
 from repro.cluster.provisioning import (

@@ -4,7 +4,6 @@ datapath through the facade, and end-to-end failover."""
 import pytest
 
 from repro.core import PciePool
-from repro.core.pool import KIND_NIC
 from repro.datapath.proxy import LocalDeviceHandle, RemoteDeviceHandle
 from repro.sim import Simulator
 

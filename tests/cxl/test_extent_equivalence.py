@@ -1,15 +1,17 @@
-"""Bulk memory operations walk device extents exactly as a line loop would.
+"""Bulk memory operations walk device runs exactly as a line loop would.
 
 ``write_bulk``, the posted-store landing, ``read_bulk``, ``dma_write`` and
 ``dma_read`` on a host, ``pool_read``, ``pool_write`` and the allocation
-scrub on the pod, and ``read``/``write`` on the media walk device extents
-(one interleave block, or one span inside a RAS window): one route, one
-latency draw and one media call per extent.  The reference below is the
-same operations written one 64 B line at a time.  Both run the same
-random schedules, with link and MHD failures, poison, line watches and a
-jittered and a slowed link, and must agree on every outcome and on every
-piece of state after every operation.
+scrub on the pod, and ``read``/``write`` on the media walk device runs
+(one per MHD an interleaved span touches, or one span inside a RAS
+window): one latency draw and one media call per run.  The reference
+below is the same operations written one 64 B line at a time.  Both run
+the same random schedules on a 2-MHD and a 3-MHD pod, with link and MHD
+failures, poison, line watches and a jittered and a slowed link, and must
+agree on every outcome and on every piece of state after every operation.
 """
+
+from collections import Counter
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -25,9 +27,12 @@ from repro.sim import Simulator
 from repro.sim.errors import SimError
 
 _ZERO_LINE = bytes(CACHELINE_BYTES)
-CONFIG = PodConfig(n_hosts=2, n_mhds=2, mhd_capacity=1 << 20,
-                   ras_bytes_per_mhd=1 << 16)
 LOCAL_BASE = 4096
+
+
+def config(n_mhds):
+    return PodConfig(n_hosts=2, n_mhds=n_mhds, mhd_capacity=1 << 20,
+                     ras_bytes_per_mhd=1 << 16)
 
 
 # -- the per-line reference ------------------------------------------------
@@ -184,20 +189,19 @@ class LineHost(HostMemorySystem):
         self._store_wid += 1
         wid = self._store_wid
         self._store_buffer[addr] = (wid, data)
-        return delay, (addr, (data,), wid, None, None, None)
+        return delay, ((addr,), (data,), (wid,), None, None, None)
 
     def _land_lines(self, landing):
         buffer = self._store_buffer
-        for addr, lines, wid, _mhd, _medium, _dev in landing.value:
-            for i, data in enumerate(lines):
-                line_addr = addr + i * CACHELINE_BYTES
+        for bases, lines, wids, _mhd, _medium, _dev in landing.value:
+            for i, (line_addr, data) in enumerate(zip(bases, lines)):
                 try:
                     self._medium_write_line(line_addr, data)
                 except LinkDownError:
                     self.stores_dropped += 1
-                if wid is not None:
+                if wids is not None:
                     entry = buffer.get(line_addr)
-                    if entry is not None and entry[0] == wid + i:
+                    if entry is not None and entry[0] == wids[i]:
                         del buffer[line_addr]
 
     def _stream_time(self, addr, size):
@@ -308,9 +312,9 @@ class LineHost(HostMemorySystem):
 # -- one schedule, run on either side -------------------------------------
 
 
-def build(line_by_line: bool):
+def build(line_by_line: bool, n_mhds: int = 2):
     sim = Simulator(seed=11)
-    pod = CxlPod(sim, CONFIG)
+    pod = CxlPod(sim, config(n_mhds))
     if line_by_line:
         pod.__class__ = LinePod
         for mhd in pod.mhds:
@@ -349,20 +353,20 @@ def snapshot(pod):
     )
 
 
-def run_schedule(schedule, line_by_line):
-    """Run ``schedule`` (``(gap_ns, op)`` pairs) and return everything
-    either side must agree on."""
-    sim, pod = build(line_by_line)
+def run_schedule(schedule, line_by_line, n_mhds=2):
+    """Run ``schedule`` (``(gap_ns, op)`` pairs) on an ``n_mhds`` pod and
+    return everything either side must agree on."""
+    sim, pod = build(line_by_line, n_mhds)
     log, landings, watches, allocations = [], [], [], []
 
     for host_id, mem in pod.hosts.items():
         land = mem._land_lines
 
         def recorded(landing, land=land, host_id=host_id):
-            landings.append((sim.now, host_id, landing.name, [
-                addr + i * CACHELINE_BYTES
-                for addr, lines, *_route in landing.value
-                for i in range(len(lines))]))
+            # A landing's lines in address order, as the line loop
+            # commits and lands them (a run holds one MHD's lines).
+            landings.append((sim.now, host_id, landing.name, sorted(
+                base for bases, *_run in landing.value for base in bases)))
             land(landing)
 
         mem._land_lines = recorded
@@ -453,8 +457,6 @@ def run_schedule(schedule, line_by_line):
 # -- schedules -------------------------------------------------------------
 
 HOSTS = st.sampled_from(["h0", "h1"])
-MHDS = st.sampled_from([0, 1])
-REGIONS = st.sampled_from(["interleaved", "ras0", "ras1", "local"])
 POOL_REGIONS = st.sampled_from(["interleaved", "ras0", "ras1"])
 #: Offsets and sizes that sit on and next to line and interleave-block
 #: edges, so schedules keep touching the same few lines.
@@ -462,31 +464,44 @@ OFFSETS = st.one_of(st.sampled_from([0, 1, 63, 64, 200, 255, 256, 320, 511]),
                     st.integers(0, 1023))
 SIZES = st.one_of(st.sampled_from([1, 64, 65, 256, 257, 394, 512, 1024]),
                   st.integers(1, 1100))
-SPANS = st.tuples(REGIONS, OFFSETS, SIZES)
-LINES = st.tuples(REGIONS, OFFSETS)
-POOL_LINES = st.tuples(POOL_REGIONS, OFFSETS)
 FILL = st.integers(0, 250)
 
-OPS = st.one_of(
-    st.tuples(st.just("write_bulk"), HOSTS, SPANS, st.booleans(), FILL),
-    st.tuples(st.just("write_bulk"), HOSTS, SPANS, st.just(True), FILL),
-    st.tuples(st.just("read_bulk"), HOSTS, SPANS, st.booleans()),
-    st.tuples(st.just("dma_write"), HOSTS, SPANS, FILL),
-    st.tuples(st.just("dma_read"), HOSTS, SPANS),
-    st.tuples(st.just("store_line"), HOSTS, LINES, FILL),
-    st.tuples(st.just("store_line_nt"), HOSTS, LINES, FILL),
-    st.tuples(st.just("load_line"), HOSTS, LINES),
-    st.tuples(st.sampled_from(["link_down", "link_up", "jitter", "slow"]),
-              HOSTS, MHDS),
-    st.tuples(st.sampled_from(["mhd_fail", "mhd_repair"]), MHDS),
-    st.tuples(st.just("poison"), POOL_LINES, st.integers(1, 4)),
-    st.tuples(st.just("watch"), LINES),
-    st.tuples(st.just("allocate"), st.integers(1, 3000),
-              st.sampled_from([None, 0, 1])),
-    st.tuples(st.just("free")),
-)
+
+def operations(n_mhds):
+    mhds = st.sampled_from(range(n_mhds))
+    windows = [f"ras{i}" for i in range(n_mhds)]
+    regions = st.sampled_from(["interleaved", *windows, "local"])
+    spans = st.tuples(regions, OFFSETS, SIZES)
+    lines = st.tuples(regions, OFFSETS)
+    pool_lines = st.tuples(st.sampled_from(["interleaved", *windows]),
+                           OFFSETS)
+    return st.one_of(
+        st.tuples(st.just("write_bulk"), HOSTS, spans, st.booleans(), FILL),
+        st.tuples(st.just("write_bulk"), HOSTS, spans, st.just(True), FILL),
+        st.tuples(st.just("read_bulk"), HOSTS, spans, st.booleans()),
+        st.tuples(st.just("dma_write"), HOSTS, spans, FILL),
+        st.tuples(st.just("dma_read"), HOSTS, spans),
+        st.tuples(st.just("store_line"), HOSTS, lines, FILL),
+        st.tuples(st.just("store_line_nt"), HOSTS, lines, FILL),
+        st.tuples(st.just("load_line"), HOSTS, lines),
+        st.tuples(st.sampled_from(["link_down", "link_up", "jitter", "slow"]),
+                  HOSTS, mhds),
+        st.tuples(st.sampled_from(["mhd_fail", "mhd_repair"]), mhds),
+        st.tuples(st.just("poison"), pool_lines, st.integers(1, 4)),
+        st.tuples(st.just("watch"), lines),
+        st.tuples(st.just("allocate"), st.integers(1, 3000),
+                  st.sampled_from([None, *range(n_mhds)])),
+        st.tuples(st.just("free")),
+    )
+
+
 GAPS = st.sampled_from([0.0, 30.0, 120.0, 204.25, 260.0, 700.0, 3000.0])
-SCHEDULES = st.lists(st.tuples(GAPS, OPS), min_size=3, max_size=24)
+
+
+def schedules(n_mhds):
+    return st.lists(st.tuples(GAPS, operations(n_mhds)),
+                    min_size=3, max_size=24)
+
 
 #: An MHD is down while h0's link to it is up, and a payload's partial
 #: last line lies on that MHD: the merge raises there, after the payload's
@@ -534,6 +549,49 @@ PINNED = [
      (3000.0, ("poison", ("interleaved", 0), 1)),
      (0.0, ("dma_write", "h1", ("interleaved", 10, 20), 5)),
      (3000.0, ("read_bulk", "h1", ("interleaved", 0, 256), True))],
+    # Watched lines on two MHDs (blocks 1 and 6: MHD 1, then MHD 0 of two
+    # or of three) inside one NT payload and inside one DMA write fire in
+    # address order, not run by run.
+    [(0.0, ("watch", ("interleaved", 1600))),
+     (0.0, ("watch", ("interleaved", 320))),
+     (0.0, ("write_bulk", "h0", ("interleaved", 0, 2048), True, 2)),
+     (3000.0, ("watch", ("interleaved", 1600))),
+     (0.0, ("watch", ("interleaved", 320))),
+     (0.0, ("dma_write", "h1", ("interleaved", 0, 2048), 4))],
+    # Poison on two MHDs: the first poisoned line in address order (block
+    # 1) is on the MHD the span touches second, so it raises, not the one
+    # on the run read first (block 6).
+    [(0.0, ("poison", ("interleaved", 1536), 1)),
+     (0.0, ("poison", ("interleaved", 256), 1)),
+     (0.0, ("dma_read", "h0", ("interleaved", 0, 2048))),
+     (0.0, ("read_bulk", "h0", ("interleaved", 0, 2048), True)),
+     (0.0, ("read_bulk", "h1", ("interleaved", 0, 2048), False))],
+    # The link to the MHD of a span's second block is down: a payload
+    # commits its first block and raises there, and a DMA fails.
+    [(0.0, ("link_down", "h0", 1)),
+     (0.0, ("write_bulk", "h0", ("interleaved", 200, 1024), True, 6)),
+     (0.0, ("read_bulk", "h0", ("interleaved", 200, 1024), True)),
+     (0.0, ("dma_write", "h0", ("interleaved", 200, 1024), 7)),
+     (3000.0, ("read_bulk", "h1", ("interleaved", 0, 1300), True))],
+    # The MHD of a span's second block has failed: reads raise at its
+    # first line, not at the span's first run.
+    [(0.0, ("mhd_fail", 1)),
+     (0.0, ("read_bulk", "h0", ("interleaved", 64, 1024), True)),
+     (0.0, ("read_bulk", "h0", ("interleaved", 64, 1024), False))],
+    # A slowed MHD: one payload lands at two instants, each retiring its
+    # own store-buffer entries; a read between them sees half of it.
+    [(0.0, ("slow", "h0", 1)),
+     (0.0, ("watch", ("interleaved", 320))),
+     (0.0, ("watch", ("interleaved", 64))),
+     (0.0, ("write_bulk", "h0", ("interleaved", 0, 1024), True, 8)),
+     (300.0, ("read_bulk", "h1", ("interleaved", 0, 1024), True)),
+     (0.0, ("read_bulk", "h0", ("interleaved", 0, 1024), True)),
+     (3000.0, ("read_bulk", "h1", ("interleaved", 0, 1024), True))],
+    # The allocation scrub clears watched lines on two MHDs in address
+    # order.
+    [(0.0, ("watch", ("interleaved", 1600))),
+     (0.0, ("watch", ("interleaved", 320))),
+     (0.0, ("allocate", 2048, None))],
 ]
 
 
@@ -545,10 +603,19 @@ def pinned(test):
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(SCHEDULES)
+@given(schedules(2))
 @pinned
 def test_extent_walk_matches_the_line_loop(schedule):
     assert run_schedule(schedule, False) == run_schedule(schedule, True)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(schedules(3))
+@pinned
+def test_extent_walk_matches_the_line_loop_on_three_mhds(schedule):
+    assert (run_schedule(schedule, False, n_mhds=3)
+            == run_schedule(schedule, True, n_mhds=3))
 
 
 def test_partial_last_line_on_a_failed_mhd_raises_after_the_whole_lines():
@@ -567,24 +634,93 @@ def test_partial_last_line_on_a_failed_mhd_raises_after_the_whole_lines():
 
 
 @settings(max_examples=300, deadline=None)
-@given(region=POOL_REGIONS, offset=st.integers(0, 60_000),
-       size=st.integers(1, 5000))
-def test_extents_agree_with_route_for_every_line(region, offset, size):
-    _sim, pod = build(False)
+@given(n_mhds=st.sampled_from([2, 3]), region=POOL_REGIONS,
+       offset=st.integers(0, 60_000), size=st.integers(1, 5000))
+def test_extents_agree_with_route_for_every_line(n_mhds, region, offset,
+                                                 size):
+    _sim, pod = build(False, n_mhds)
     addr = region_base(pod, region) + offset
     if region != "interleaved":
         size = min(size, pod.ras_window_bytes - offset)
-    extents = pod.extents(addr, size)
-    assert sum(length for *_route, length in extents) == size
-    cur = addr
-    for idx, media, dev, length in extents:
-        assert length > 0
-        for line in line_range(cur, length):
-            at = max(line, cur)
-            assert pod.route(at) == (idx, media, dev + at - cur)
-        cur += length
+    runs = pod.extents(addr, size)
+    assert sum(length for *_route, length in runs) == size
+    by_mhd = {idx: (media, dev) for idx, media, dev, _length in runs}
+    assert len(by_mhd) == len(runs)
+    # Walk the span line by line in address order: each MHD's lines fill
+    # its run from the run's first device byte on, and the runs come in
+    # the order the walk first meets their MHDs.
+    filled = {idx: 0 for idx in by_mhd}
+    met = []
+    for line in line_range(addr, size):
+        at = max(line, addr)
+        piece = min(line + CACHELINE_BYTES, addr + size) - at
+        idx, media, dev = pod.route(at)
+        if idx not in met:
+            met.append(idx)
+        assert (media, dev) == (by_mhd[idx][0], by_mhd[idx][1] + filled[idx])
+        filled[idx] += piece
+    assert met == [idx for idx, *_run in runs]
+    assert filled == {idx: length for idx, _media, _dev, length in runs}
     if region == "interleaved":
         gran = pod.interleave.granularity
-        assert all(length <= gran for *_route, length in extents)
+        blocks = (addr + size - 1) // gran - addr // gran + 1
+        assert len(runs) == min(n_mhds, blocks)
     else:
-        assert len(extents) == 1
+        assert len(runs) == 1
+
+
+def count_media_calls(pod):
+    """Count the media calls made on each MHD, by ``(mhd, method)``; a
+    call another counted call makes is not counted again."""
+    calls = Counter()
+    depth = [0]
+    for idx, mhd in enumerate(pod.mhds):
+        media = mhd.memory
+        for name in ("read", "write", "write_lines", "clear_lines",
+                     "read_line", "write_line"):
+            def counted(*args, _method=getattr(media, name),
+                        _key=(idx, name)):
+                if not depth[0]:
+                    calls[_key] += 1
+                depth[0] += 1
+                try:
+                    return _method(*args)
+                finally:
+                    depth[0] -= 1
+            setattr(media, name, counted)
+    return calls
+
+
+def test_interleaved_bulk_ops_make_one_media_call_per_mhd():
+    size = 16 << 10
+    data = payload(9, size)
+    for n_mhds in (2, 3):
+        sim, pod = build(False, n_mhds)
+        calls = count_media_calls(pod)
+        alloc = pod.allocate(size, owners=["h0"])
+        assert pod.mhd_of(alloc.range.base) is None
+        base = alloc.range.base
+        mem = pod.hosts["h0"]
+
+        def run(gen):
+            proc = sim.spawn(gen)
+            sim.run()
+            return proc.value
+
+        def once_per_mhd(name):
+            return {(idx, name): 1 for idx in range(n_mhds)}
+
+        assert calls == once_per_mhd("clear_lines")
+        for op, name in [
+            (lambda: pod.pool_write(base, data), "write"),
+            (lambda: pod.pool_read(base, size), "read"),
+            (lambda: run(mem.write_bulk(base, data, nt=True)), "write_lines"),
+            (lambda: run(mem.read_bulk(base, size, uncached=True)), "read"),
+            (lambda: run(mem.read_bulk(base, size)), "read"),
+            (lambda: run(mem.dma_write(base, data)), "write"),
+            (lambda: run(mem.dma_read(base, size)), "read"),
+        ]:
+            calls.clear()
+            result = op()
+            assert calls == once_per_mhd(name)
+            assert result in (None, data)

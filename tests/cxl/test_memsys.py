@@ -349,3 +349,65 @@ def test_local_dram_dma_roundtrip(pod):
         return data
 
     assert run(sim, proc(h0)) == payload
+
+
+@pytest.mark.parametrize("offset,size", [(0, 64), (10, 20), (63, 1)])
+def test_one_line_uncached_read_span_is_load_line_uncached(offset, size):
+    """A span inside one line reads as ``load_line_uncached`` of its line
+    would: sampled at issue, forwarding this host's NT store, with the
+    same latency, link counters and raises."""
+
+    def script(one_line):
+        sim = Simulator(seed=3)
+        pod = CxlPod(sim, PodConfig(n_hosts=2, n_mhds=2,
+                                    mhd_capacity=1 << 26))
+        mem, other = pod.host("h0"), pod.host("h1")
+        addr = POOL_BASE + 4096 + offset
+        base = addr - addr % 64
+        pod.hosts["h0"].port.links[0].set_jitter(
+            30.0, sim.rng.stream("jitter"))
+        log = []
+
+        def read():
+            start = sim.now
+            try:
+                data = yield from one_line(mem, addr, base)
+            except Exception as exc:  # noqa: BLE001 - compared, not hidden
+                data = type(exc).__name__
+            log.append((data, sim.now - start,
+                        mem.port.links[0].line_ops))
+
+        def proc():
+            yield from other.store_line_nt(base, LINE_A)
+            yield from read()          # issued before LINE_A lands
+            yield sim.timeout(1_000.0)
+            yield from read()
+            yield from mem.store_line_nt(base, LINE_B)
+            yield from read()          # forwarded from the store buffer
+            yield sim.timeout(1_000.0)
+            pod.poison(base)
+            yield from read()
+            pod.fail_mhd(0)
+            yield from read()
+
+        sim.spawn(proc())
+        sim.run()
+        return log
+
+    def via_span(mem, addr, _base):
+        return (yield from mem.read_span(addr, size, uncached=True))
+
+    def via_line(mem, addr, base):
+        line = yield from mem.load_line_uncached(base)
+        return line[addr - base:addr - base + size]
+
+    log = script(via_span)
+    assert log == script(via_line)
+    assert [entry[0] for entry in log[3:]] == ["PoisonedMemoryError",
+                                                "MhdFailedError"]
+
+
+def test_read_span_rejects_an_empty_span(pod):
+    sim, pod = pod
+    with pytest.raises(ValueError):
+        run(sim, pod.host("h0").read_span(POOL_BASE, 0, uncached=True))

@@ -219,10 +219,11 @@ def test_partial_write_error_reports_torn_extent():
     calls = {"n": 0}
 
     def check_then_die():
-        # The 1024 B stripe puts two chunks on mhd1, so the pre-write
-        # health check probes it twice; die on the first in-loop check.
+        # The 1024 B stripe is one run on each MHD, so the pre-write
+        # health check probes mhd1 once; die on its first check inside
+        # the loop, after mhd0's run has landed.
         calls["n"] += 1
-        if calls["n"] > 2:
+        if calls["n"] > 1:
             pod.mhds[1].failed = True
         original_check()
 
@@ -230,6 +231,31 @@ def test_partial_write_error_reports_torn_extent():
     with pytest.raises(PartialPoolWriteError) as err:
         pod.pool_write(POOL_BASE, bytes(1024))
     assert 0 < err.value.written < err.value.total == 1024
+
+
+def test_watched_write_tears_at_an_interleave_block():
+    """A span with watched lines on two MHDs is written line by line in
+    address order, and a mid-loop failure still tears where a block's
+    MHD is checked: after block 0, not after mhd0's whole run."""
+    _sim, pod = small_pod(n_mhds=2)
+    fired = []
+    for mhd_idx in (0, 1):
+        # Device line 0: the span's block 0 on mhd0, block 1 on mhd1.
+        pod.mhds[mhd_idx].memory.watch_line(
+            0, lambda i=mhd_idx: fired.append(i))
+    original_check = pod.mhds[1].check_alive
+    calls = {"n": 0}
+
+    def check_then_die():
+        calls["n"] += 1
+        if calls["n"] > 1:
+            pod.mhds[1].failed = True
+        original_check()
+
+    pod.mhds[1].check_alive = check_then_die
+    with pytest.raises(PartialPoolWriteError) as err:
+        pod.pool_write(POOL_BASE, bytes(1024))
+    assert (err.value.written, fired) == (256, [0])
 
 
 def test_allocation_falls_back_to_confined_when_mhd_down():

@@ -1,7 +1,5 @@
 """Reliable transport tests: ordering, retransmission, windows."""
 
-import pytest
-
 from repro.datapath.transport import Connection
 from repro.datapath.udpbench import _build_endpoint
 from repro.cxl.pod import CxlPod, PodConfig

@@ -2,8 +2,6 @@
 
 import zlib
 
-import pytest
-
 from repro.cxl.pod import CxlPod, PodConfig
 from repro.datapath.proxy import LocalDeviceHandle
 from repro.datapath.vaccel import RemoteAcceleratorClient

@@ -5,8 +5,6 @@ pools can dynamically adjust the number of hosts using a PCIe device by
 migrating workloads to less-utilized devices."
 """
 
-import pytest
-
 from repro.core import PciePool
 from repro.orchestrator import Orchestrator
 from repro.sim import Simulator

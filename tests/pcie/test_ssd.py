@@ -1,9 +1,7 @@
 """SSD tests: NVMe-style command flow, media persistence, concurrency."""
 
-import pytest
-
 from repro.pcie.rings import COMPLETION_BYTES, CompletionEntry, seq_for_pass
-from repro.pcie.ssd import NVME_COMMAND_BYTES, NvmeCommand, Ssd, SsdSpec
+from repro.pcie.ssd import NVME_COMMAND_BYTES, NvmeCommand, Ssd
 
 SQ_RING = 0x10_000
 CQ_RING = 0x20_000

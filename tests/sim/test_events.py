@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Simulator
+from repro.sim import AllOf, Simulator
 from repro.sim.errors import SimError
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Event, Interrupt, SimError, Simulator
+from repro.sim import Interrupt, SimError, Simulator
 
 
 def test_process_return_value_becomes_event_value():
