@@ -498,15 +498,14 @@ class RingSender:
 class RingReceiver:
     """Consumer side: owns the tail counter, publishes progress."""
 
-    def __init__(self, region: SharedRegion, layout: RingLayout,
-                 progress_every: int | None = None):
+    def __init__(self, region: SharedRegion, layout: RingLayout):
         self.region = region
         self.layout = layout
         self._tail = 0
         self.received = 0
-        # Publish progress every quarter ring by default: cheap enough to
-        # be negligible, frequent enough that senders rarely stall.
-        self.progress_every = progress_every or max(1, layout.n_slots // 4)
+        # Publish progress every quarter ring: cheap enough to be
+        # negligible, frequent enough that senders rarely stall.
+        self.progress_every = max(1, layout.n_slots // 4)
         # A progress publish that hit a dead link is deferred, not lost:
         # the flag keeps the publish owed until a later poll succeeds, so
         # a flap can never deadlock a sender waiting for ring space.
@@ -626,7 +625,7 @@ class RingReceiver:
                 return payload
             yield sim.timeout(poll_overhead_ns)
 
-    def drain(self, max_n: int | None = None):
+    def drain(self):
         """Process: consume every ready slot in one poll pass.
 
         Returns the list of delivered payloads (possibly empty).  The
@@ -655,14 +654,10 @@ class RingReceiver:
         losses = self.last_drain_losses = []
         if self._progress_dirty:
             yield from self._flush_progress()
-        n = self.layout.n_slots
-        limit = n if max_n is None else min(max_n, n)
-        if limit <= 0:
-            return []
         out: list[bytes] = []
         tail = self._tail
         try:
-            yield from self._consume(out, losses, limit)
+            yield from self._consume(out, losses)
         except LinkDownError:
             if self._tail == tail:
                 raise
@@ -674,13 +669,13 @@ class RingReceiver:
             yield from self._flush_progress()
         return out
 
-    def _consume(self, out: list, losses: list, limit: int):
-        """Process: :meth:`drain`'s pass over up to ``limit`` ready slots."""
+    def _consume(self, out: list, losses: list):
+        """Process: :meth:`drain`'s pass over up to one ring of ready slots."""
         n = self.layout.n_slots
         drained = 0
         if self.degraded:
             # Demoted: no streaming window reads over fail-slow media.
-            while drained < limit:
+            while drained < n:
                 if not (yield from self._drain_one(out, losses)):
                     break
                 drained += 1
@@ -690,13 +685,13 @@ class RingReceiver:
         # single-slot poll costs (plus one miss probe to learn the
         # burst ended); only a backlog of >= 2 pays for a streaming
         # window read.
-        while drained < min(limit, 2):
+        while drained < min(n, 2):
             if not (yield from self._drain_one(out, losses)):
                 return
             drained += 1
-        while drained < limit:
+        while drained < n:
             index = self._tail % n
-            window = min(limit - drained, n - index)
+            window = min(n - drained, n - index)
             if window == 1:
                 if not (yield from self._drain_one(out, losses)):
                     break

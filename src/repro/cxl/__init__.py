@@ -20,7 +20,6 @@ from repro.cxl.address import (
     CACHELINE_BYTES,
     INTERLEAVE_BYTES,
     AddressRange,
-    InterleaveMap,
     line_base,
 )
 from repro.cxl.allocator import AllocationError, PoolAllocator
@@ -47,7 +46,6 @@ __all__ = [
     "HostMemorySystem",
     "HostPort",
     "INTERLEAVE_BYTES",
-    "InterleaveMap",
     "LinkDownError",
     "LinkSpec",
     "LocalDram",

@@ -74,42 +74,3 @@ class AddressRange:
 
     def __repr__(self) -> str:
         return f"AddressRange({self.base:#x}, size={self.size:#x})"
-
-
-class InterleaveMap:
-    """Maps pool addresses to link indices at 256 B granularity.
-
-    With ``n`` links, block ``k`` (of 256 B) goes to link ``k mod n`` —
-    matching the round-robin hardware interleave set described in §3.
-    """
-
-    def __init__(self, n_links: int,
-                 granularity: int = INTERLEAVE_BYTES):
-        if n_links < 1:
-            raise ValueError(f"need at least one link, got {n_links}")
-        if granularity % CACHELINE_BYTES != 0:
-            raise ValueError(
-                f"granularity {granularity} must be a multiple of "
-                f"{CACHELINE_BYTES}"
-            )
-        self.n_links = n_links
-        self.granularity = granularity
-
-    def split(self, addr: int, size: int) -> list[tuple[int, int, int]]:
-        """Split ``[addr, addr+size)`` into per-link chunks.
-
-        Returns ``(link_index, chunk_addr, chunk_size)`` triples in address
-        order.  Bulk DMA uses this to spread a transfer over all links.
-        """
-        if size <= 0:
-            raise ValueError(f"size must be positive, got {size}")
-        gran, n_links = self.granularity, self.n_links
-        end = addr + size
-        first, last = addr // gran, (end - 1) // gran
-        if first == last:
-            return [(first % n_links, addr, size)]
-        chunks = [(first % n_links, addr, (first + 1) * gran - addr)]
-        chunks += [(block % n_links, block * gran, gran)
-                   for block in range(first + 1, last)]
-        chunks.append((last % n_links, last * gran, end - last * gran))
-        return chunks

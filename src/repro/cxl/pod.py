@@ -31,8 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.cxl.address import (
-    AddressRange, CACHELINE_BYTES, InterleaveMap, INTERLEAVE_BYTES, line_base,
-    line_range,
+    AddressRange, CACHELINE_BYTES, INTERLEAVE_BYTES, line_base, line_range,
 )
 from repro.cxl.allocator import Allocation, AllocationError, PoolAllocator
 from repro.cxl.device import CxlMemoryDevice, LocalDram
@@ -91,6 +90,12 @@ class PodConfig:
             raise ValueError("a pod needs at least one host")
         if self.n_mhds < 1:
             raise ValueError("a pod needs at least one MHD")
+        if (self.interleave_bytes <= 0
+                or self.interleave_bytes % CACHELINE_BYTES != 0):
+            raise ValueError(
+                f"interleave_bytes must be a positive multiple of "
+                f"{CACHELINE_BYTES}, got {self.interleave_bytes}"
+            )
         if self.mhd_capacity % self.interleave_bytes != 0:
             raise ValueError(
                 "mhd_capacity must be a multiple of the interleave "
@@ -166,9 +171,6 @@ class CxlPod:
             )
             for idx in range(config.n_mhds)
         ]
-        self.interleave = InterleaveMap(
-            config.n_mhds, granularity=config.interleave_bytes
-        )
         self.interleaved_capacity = config.interleaved_capacity
         self.ras_window_bytes = config.ras_window_bytes
         self.allocator = PoolAllocator(self.interleaved_capacity)
@@ -231,7 +233,7 @@ class CxlPod:
             mhd_idx, within = divmod(rel, self.ras_window_bytes)
             device_addr = self.config.direct_offset + within
             return mhd_idx, self.mhds[mhd_idx].memory, device_addr
-        gran = self.interleave.granularity
+        gran = self.config.interleave_bytes
         block, within = divmod(offset, gran)
         mhd_idx = block % self.config.n_mhds
         device_addr = (block // self.config.n_mhds) * gran + within
@@ -284,7 +286,7 @@ class CxlPod:
                 )
             return [(mhd_idx, self.mhds[mhd_idx].memory,
                      self.config.direct_offset + within, size)]
-        gran = self.interleave.granularity
+        gran = self.config.interleave_bytes
         n = self.config.n_mhds
         end = offset + size
         first, last = offset // gran, (end - 1) // gran
@@ -305,7 +307,7 @@ class CxlPod:
         in ``unit``s (1 for bytes, 64 for lines of a line-aligned span):
         ``(head, block, stride)``, the units of its first interleave
         block before ``addr``, one block and one round of blocks."""
-        gran = self.interleave.granularity
+        gran = self.config.interleave_bytes
         return ((addr - self.pool_range.base) % gran // unit, gran // unit,
                 gran // unit * self.config.n_mhds)
 
@@ -382,7 +384,7 @@ class CxlPod:
             self.mhds[mhd_idx].check_alive()
         if len(runs) > 1 and any(media._watched(dev, length)
                                  for _idx, media, dev, length in runs):
-            gran = self.interleave.granularity
+            gran = self.config.interleave_bytes
             for pos, length, mhd_idx, media, dev in self._line_walk(addr,
                                                                     size):
                 try:

@@ -331,15 +331,29 @@ class RemoteDeviceHandle:
         raise DeviceGoneError(self.device_id, status)
 
     def write_register(self, offset: int, value: int, parent=None):
-        """Process: forwarded register write, waits for the completion.
+        """Process: forwarded register write, waits for the completion."""
+        yield from self._forward(MmioWrite, "mmio.write_fwd", offset, parent,
+                                 value=value)
 
-        The op id is allocated once, so transport retries *and* fence
-        replays are recognizable duplicates to the server's journal.
+    def read_register(self, offset: int, parent=None):
+        """Process: forwarded register read; returns the value."""
+        value = yield from self._forward(MmioRead, "mmio.read_fwd", offset,
+                                         parent)
+        return value
+
+    def _forward(self, request_type, span_name: str, offset: int, parent,
+                 **fields):
+        """Process: one forwarded register op until it resolves.
+
+        The op id is allocated once, so transport retries, busy
+        re-submissions *and* fence replays are recognizable duplicates
+        to the server's journal; every attempt carries the current
+        token.  Returns a read's value (None for a write).
         """
         sim = self.endpoint.sim
         op_id = self._alloc_op_id()
         span = _obs.TRACER.begin(
-            "mmio.write_fwd", sim.now, track=self._track, parent=parent,
+            span_name, sim.now, track=self._track, parent=parent,
             cat="mmio", args={"device": self.device_id, "addr": offset},
         )
         fence_attempt = 0
@@ -347,16 +361,17 @@ class RemoteDeviceHandle:
         try:
             while True:
                 reply = yield from self.endpoint.call_with_retry(
-                    MmioWrite(
-                        request_id=0,
-                        device_id=self.device_id, addr=offset, value=value,
-                        op_id=op_id, token=self.token,
+                    request_type(
+                        request_id=0, device_id=self.device_id, addr=offset,
+                        op_id=op_id, token=self.token, **fields,
                     ),
                     timeout_ns=self.RPC_TIMEOUT_NS,
                     max_attempts=self.RPC_MAX_ATTEMPTS,
                     budget=self.budget,
                     parent=span,
                 )
+                if isinstance(reply, MmioReadReply):
+                    return reply.value
                 if isinstance(reply, BusyNack):
                     again = yield from self._busy_pause(
                         busy_attempt, reply, parent=span
@@ -367,52 +382,7 @@ class RemoteDeviceHandle:
                     self._raise_overload(reply)
                 if reply.status == DeviceServer.STATUS_OK:
                     self._note_ack(reply)
-                    return
-                if reply.status == DeviceServer.STATUS_FENCED:
-                    replay = yield from self._fence_pause(
-                        fence_attempt, parent=span
-                    )
-                    fence_attempt += 1
-                    if replay:
-                        continue
-                self._raise_status(reply.status)
-        finally:
-            _obs.TRACER.end(span, sim.now)
-
-    def read_register(self, offset: int, parent=None):
-        """Process: forwarded register read; returns the value."""
-        sim = self.endpoint.sim
-        op_id = self._alloc_op_id()
-        span = _obs.TRACER.begin(
-            "mmio.read_fwd", sim.now, track=self._track, parent=parent,
-            cat="mmio", args={"device": self.device_id, "addr": offset},
-        )
-        fence_attempt = 0
-        busy_attempt = 0
-        try:
-            while True:
-                reply = yield from self.endpoint.call_with_retry(
-                    MmioRead(
-                        request_id=0,
-                        device_id=self.device_id, addr=offset,
-                        op_id=op_id, token=self.token,
-                    ),
-                    timeout_ns=self.RPC_TIMEOUT_NS,
-                    max_attempts=self.RPC_MAX_ATTEMPTS,
-                    budget=self.budget,
-                    parent=span,
-                )
-                if isinstance(reply, BusyNack):
-                    again = yield from self._busy_pause(
-                        busy_attempt, reply, parent=span
-                    )
-                    busy_attempt += 1
-                    if again:
-                        continue
-                    self._raise_overload(reply)
-                if not isinstance(reply, Completion):
-                    return reply.value
-                # The server answered with an error completion, not a value.
+                    return None
                 if reply.status == DeviceServer.STATUS_FENCED:
                     replay = yield from self._fence_pause(
                         fence_attempt, parent=span
@@ -677,6 +647,29 @@ class DeviceServer:
             self.replies_lost += 1
 
     def _handle_write(self, msg: MmioWrite):
+        def write(device):
+            yield from device.mmio_write(msg.addr, msg.value)
+            return Completion(request_id=msg.request_id,
+                              status=self.STATUS_OK,
+                              occupancy_permille=self.occupancy_permille())
+
+        yield from self._serve(msg, write)
+
+    def _handle_read(self, msg: MmioRead):
+        def read(device):
+            value = yield from device.mmio_read(msg.addr)
+            return MmioReadReply(request_id=msg.request_id, value=value)
+
+        yield from self._serve(msg, read)
+
+    def _serve(self, msg, apply):
+        """Process: fence, dedup and admit one forwarded register op.
+
+        ``apply(device)`` is a process making the device call and
+        returning the success reply.  An outcome the device produced
+        (success or a failed device) is journaled under the op id
+        before it is replied; an unknown device is not.
+        """
         fenced, _ = self._fence_check(msg)
         if fenced:
             self._count_fenced()
@@ -704,85 +697,27 @@ class DeviceServer:
             return
         try:
             device = self._devices.get(msg.device_id)
-            status = self.STATUS_OK
-            applied = False
             if device is None:
-                status = self.STATUS_UNKNOWN_DEVICE
-            else:
-                try:
-                    yield from device.mmio_write(msg.addr, msg.value)
-                    self.forwarded_ops += 1
-                    applied = True
-                except DeviceFailedError:
-                    status = self.STATUS_FAILED_DEVICE
-                    applied = True
-            reply = Completion(
-                request_id=msg.request_id, status=status,
-                occupancy_permille=self.occupancy_permille(),
-            )
-            if msg.op_id and applied:
-                self._journal_put(
-                    msg.op_id,
-                    dataclasses.replace(reply, request_id=0),
-                )
-            yield from self._reply(reply)
-        finally:
-            self._release()
-
-    def _handle_read(self, msg: MmioRead):
-        fenced, _ = self._fence_check(msg)
-        if fenced:
-            self._count_fenced()
-            yield from self._reply(
-                Completion(request_id=msg.request_id,
-                           status=self.STATUS_FENCED)
-            )
-            return
-        if msg.op_id:
-            cached = self._journal.get(msg.op_id)
-            if cached is not None:
-                self.dup_suppressed += 1
-                _obs.METRICS.counter(_names.PROXY_DUP_SUPPRESSED).inc()
-                yield from self._reply(
-                    dataclasses.replace(cached, request_id=msg.request_id)
-                )
-                return
-        if not self._admit():
-            yield from self._reply(
-                self._busy_nack(msg.request_id, msg.device_id)
-            )
-            return
-        try:
-            device = self._devices.get(msg.device_id)
-            if device is None:
-                yield from self._reply(
-                    Completion(request_id=msg.request_id,
-                               status=self.STATUS_UNKNOWN_DEVICE,
-                               occupancy_permille=self.occupancy_permille())
-                )
-                return
-            try:
-                value = yield from device.mmio_read(msg.addr)
-            except DeviceFailedError:
                 reply = Completion(
                     request_id=msg.request_id,
-                    status=self.STATUS_FAILED_DEVICE,
+                    status=self.STATUS_UNKNOWN_DEVICE,
                     occupancy_permille=self.occupancy_permille(),
                 )
+            else:
+                try:
+                    reply = yield from apply(device)
+                    self.forwarded_ops += 1
+                except DeviceFailedError:
+                    reply = Completion(
+                        request_id=msg.request_id,
+                        status=self.STATUS_FAILED_DEVICE,
+                        occupancy_permille=self.occupancy_permille(),
+                    )
                 if msg.op_id:
                     self._journal_put(
                         msg.op_id,
                         dataclasses.replace(reply, request_id=0),
                     )
-                yield from self._reply(reply)
-                return
-            self.forwarded_ops += 1
-            reply = MmioReadReply(request_id=msg.request_id, value=value)
-            if msg.op_id:
-                self._journal_put(
-                    msg.op_id,
-                    dataclasses.replace(reply, request_id=0),
-                )
             yield from self._reply(reply)
         finally:
             self._release()

@@ -15,16 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.pcie.device import PcieDevice
-from repro.pcie.rings import (
-    COMPLETION_BYTES,
-    DESCRIPTOR_BYTES,
-    CompletionEntry,
-    Descriptor,
-    DescriptorRing,
-    seq_for_pass,
-)
-from repro.sim import Interrupt, Resource, Simulator, Store
+from repro.pcie.device import QueuePairDevice
+from repro.pcie.rings import CompletionEntry, Descriptor
+from repro.sim import Simulator
 
 
 @dataclass(frozen=True)
@@ -46,114 +39,39 @@ KERNEL_DECOMPRESS = 2
 KERNEL_FHE_MULT = 3
 
 
-class Accelerator(PcieDevice):
-    """A PCIe offload accelerator."""
+class Accelerator(QueuePairDevice):
+    """A PCIe offload accelerator: jobs on a ring, a context the unit."""
 
-    REG_JOB_DB = 0x10
-    REG_JOB_RING = 0x18
-    REG_CQ_RING = 0x20
+    REG_JOB_DB = QueuePairDevice.REG_DB
+    REG_JOB_RING = QueuePairDevice.REG_RING
     REG_OUT_BASE = 0x28   # where results are DMA-written
+
+    ENTRY_NAME = "job"
 
     def __init__(self, sim: Simulator, name: str, device_id: int,
                  spec: AcceleratorSpec = AcceleratorSpec()):
-        super().__init__(sim, name, device_id)
+        super().__init__(sim, name, device_id, spec.n_desc, spec.n_contexts)
         self.spec = spec
-        for reg in (self.REG_JOB_DB, self.REG_JOB_RING,
-                    self.REG_CQ_RING, self.REG_OUT_BASE):
-            self.bar.regs[reg] = 0
-        self._doorbells = Store(sim, name=f"{name}.jobdb")
-        self._contexts = Resource(sim, capacity=spec.n_contexts,
-                                  name=f"{name}.contexts")
-        self._job_head = 0
-        self._cq_index = 0
-        self._engine = None
-        self.jobs_completed = 0
-        self._busy_ns = 0.0
-        self._util_window_start = 0.0
+        self.bar.regs[self.REG_OUT_BASE] = 0
 
-    def start(self) -> None:
-        if self._engine is not None:
-            raise RuntimeError(f"{self.name} already started")
-        self._engine = self.sim.spawn(
-            self._job_engine(), name=f"{self.name}.engine"
-        )
+    @property
+    def jobs_completed(self) -> int:
+        return self.completed
 
-    def stop(self) -> None:
-        if self._engine is not None and self._engine.is_alive:
-            self._engine.interrupt(cause="accelerator stopped")
-        self._engine = None
+    def _run(self, raw: bytes):
+        desc = Descriptor.decode(raw)
+        spec = self.spec
+        data = yield from self.dma_read(desc.addr, desc.length)
+        yield self.sim.timeout(spec.fixed_ns
+                               + desc.length / spec.throughput_gbps)
+        result = self._run_kernel(desc.flags, data)
+        return CompletionEntry.STATUS_OK, len(result), result
 
-    def on_mmio_write(self, offset: int, value: int) -> None:
-        super().on_mmio_write(offset, value)
-        if offset == self.REG_JOB_DB:
-            self._doorbells.put(value)
-
-    def on_reset(self) -> None:
-        self._job_head = 0
-        self._cq_index = 0
-
-    def doorbell_register(self, queue_id: int) -> int:
-        if queue_id == 0:
-            return self.REG_JOB_DB
-        raise ValueError(f"accelerator has no queue {queue_id}")
-
-    # -- job engine ---------------------------------------------------------
-
-    def _job_engine(self):
-        try:
-            while True:
-                tail = yield self._doorbells.get()
-                if self.failed:
-                    continue
-                while self._job_head < tail:
-                    index = self._job_head
-                    self._job_head += 1
-                    self.sim.spawn(
-                        self._execute(index),
-                        name=f"{self.name}.job{index}",
-                    )
-        except Interrupt:
-            return
-
-    def _execute(self, index: int):
-        ring = DescriptorRing(
-            self.bar.regs[self.REG_JOB_RING], self.spec.n_desc
-        )
-        raw_desc = yield from self.dma_read(
-            ring.entry_addr(index), DESCRIPTOR_BYTES
-        )
-        desc = Descriptor.decode(raw_desc)
-        t0 = self.sim.now
-        with self._contexts.request() as ctx:
-            yield ctx
-            data = yield from self.dma_read(desc.addr, desc.length)
-            compute_ns = (self.spec.fixed_ns
-                          + desc.length / self.spec.throughput_gbps)
-            yield self.sim.timeout(compute_ns)
-            result = self._run_kernel(desc.flags, data)
-        self._busy_ns += self.sim.now - t0
+    def _write_output(self, index: int, result: bytes):
         out_base = self.bar.regs[self.REG_OUT_BASE]
         if out_base:
             out_addr = out_base + (index % self.spec.n_desc) * 4096
             yield from self.dma_write(out_addr, result[:4096])
-        cq = DescriptorRing(
-            self.bar.regs[self.REG_CQ_RING], self.spec.n_desc,
-            entry_bytes=COMPLETION_BYTES,
-        )
-        cq_index = self._cq_index
-        self._cq_index += 1
-        # Piggyback job-queue occupancy in the spare ``value`` field
-        # (cooperative backpressure, same convention as the SSD).
-        inflight = max(0, self._job_head - self.jobs_completed)
-        entry = CompletionEntry(
-            seq=seq_for_pass(cq_index // cq.n_entries),
-            status=CompletionEntry.STATUS_OK,
-            index=index % (1 << 16),
-            length=len(result),
-            value=min(1000, (1000 * inflight) // self.spec.n_desc),
-        )
-        yield from self.dma_write(cq.entry_addr(cq_index), entry.encode())
-        self.jobs_completed += 1
 
     @staticmethod
     def _run_kernel(kind: int, data: bytes) -> bytes:
@@ -168,15 +86,3 @@ class Accelerator(PcieDevice):
             # A deterministic bijective transform standing in for an FHE op.
             return bytes((b * 3 + 7) % 256 for b in data)
         return data
-
-    # -- telemetry ---------------------------------------------------------------
-
-    def utilization(self) -> float:
-        window = self.sim.now - self._util_window_start
-        if window <= 0:
-            return 0.0
-        return min(1.0, self._busy_ns / (window * self.spec.n_contexts))
-
-    def reset_utilization_window(self) -> None:
-        self._busy_ns = 0.0
-        self._util_window_start = self.sim.now

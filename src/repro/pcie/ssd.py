@@ -1,7 +1,7 @@
 """NVMe-like SSD model: submission/completion queues, flash timing.
 
 The SSD follows the same memory-contract as the NIC: software writes
-16 B command descriptors into a submission ring in memory, rings the SQ
+24 B command descriptors into a submission ring in memory, rings the SQ
 doorbell (MMIO), and the device DMA-reads commands, moves data with DMA,
 and DMA-writes completion entries.  Placing the rings and data buffers in
 CXL pool memory therefore makes the SSD poolable exactly like a NIC —
@@ -17,14 +17,9 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from repro.pcie.device import PcieDevice
-from repro.pcie.rings import (
-    COMPLETION_BYTES,
-    CompletionEntry,
-    DescriptorRing,
-    seq_for_pass,
-)
-from repro.sim import Interrupt, Resource, Simulator, Store
+from repro.pcie.device import QueuePairDevice
+from repro.pcie.rings import CompletionEntry
+from repro.sim import Simulator
 
 #: opcode (u8), pad (u8), pad (u16), length (u32), lba (u64), buffer (u64)
 _NVME_CMD = struct.Struct("<BBHIQQ")
@@ -70,102 +65,36 @@ class SsdSpec:
     block_bytes: int = 4096
 
 
-class Ssd(PcieDevice):
-    """An NVMe-like SSD."""
+class Ssd(QueuePairDevice):
+    """An NVMe-like SSD: the SQ is the ring, a flash channel the unit."""
 
-    REG_SQ_DB = 0x10
-    REG_SQ_RING = 0x18
-    REG_CQ_RING = 0x20
+    REG_SQ_DB = QueuePairDevice.REG_DB
+    REG_SQ_RING = QueuePairDevice.REG_RING
+
+    ENTRY_BYTES = NVME_COMMAND_BYTES
+    ENTRY_NAME = "cmd"
 
     def __init__(self, sim: Simulator, name: str, device_id: int,
                  spec: SsdSpec = SsdSpec()):
-        super().__init__(sim, name, device_id)
+        super().__init__(sim, name, device_id, spec.n_sq_entries,
+                         spec.n_channels)
         self.spec = spec
-        for reg in (self.REG_SQ_DB, self.REG_SQ_RING, self.REG_CQ_RING):
-            self.bar.regs[reg] = 0
-        self._doorbells = Store(sim, name=f"{name}.sqdb")
-        self._channels = Resource(sim, capacity=spec.n_channels,
-                                  name=f"{name}.channels")
         self._media: dict[int, bytes] = {}  # lba-block -> data
-        self._sq_head = 0
-        self._cq_index = 0
-        self._engine = None
-        self.commands_completed = 0
         self.bytes_read = 0
         self.bytes_written = 0
-        self._busy_ns = 0.0
-        self._util_window_start = 0.0
 
-    # -- lifecycle -----------------------------------------------------------
+    @property
+    def commands_completed(self) -> int:
+        return self.completed
 
-    def start(self) -> None:
-        if self._engine is not None:
-            raise RuntimeError(f"{self.name} already started")
-        self._engine = self.sim.spawn(
-            self._command_engine(), name=f"{self.name}.engine"
-        )
-
-    def stop(self) -> None:
-        if self._engine is not None and self._engine.is_alive:
-            self._engine.interrupt(cause="ssd stopped")
-        self._engine = None
-
-    def on_mmio_write(self, offset: int, value: int) -> None:
-        super().on_mmio_write(offset, value)
-        if offset == self.REG_SQ_DB:
-            self._doorbells.put(value)
-
-    def on_reset(self) -> None:
-        self._sq_head = 0
-        self._cq_index = 0
-
-    def doorbell_register(self, queue_id: int) -> int:
-        if queue_id == 0:
-            return self.REG_SQ_DB
-        raise ValueError(f"SSD has no queue {queue_id}")
-
-    # -- command engine ----------------------------------------------------------
-
-    def _command_engine(self):
-        try:
-            while True:
-                tail = yield self._doorbells.get()
-                if self.failed:
-                    continue
-                while self._sq_head < tail:
-                    index = self._sq_head
-                    self._sq_head += 1
-                    # Commands run concurrently across flash channels.
-                    self.sim.spawn(
-                        self._execute(index),
-                        name=f"{self.name}.cmd{index}",
-                    )
-        except Interrupt:
-            return
-
-    def _execute(self, index: int):
-        sq = DescriptorRing(
-            self.bar.regs[self.REG_SQ_RING], self.spec.n_sq_entries,
-            entry_bytes=NVME_COMMAND_BYTES,
-        )
-        raw = yield from self.dma_read(
-            sq.entry_addr(index), NVME_COMMAND_BYTES
-        )
+    def _run(self, raw: bytes):
         cmd = NvmeCommand.decode(raw)
-        t0 = self.sim.now
-        with self._channels.request() as channel:
-            yield channel
-            status = yield from self._run_command(cmd)
-        self._busy_ns += self.sim.now - t0
-        yield from self._complete(index, status, cmd.length)
-
-    def _run_command(self, cmd: NvmeCommand):
         spec = self.spec
         if cmd.opcode == NvmeCommand.OP_FLUSH:
             yield self.sim.timeout(spec.flush_latency_ns)
-            return CompletionEntry.STATUS_OK
+            return CompletionEntry.STATUS_OK, cmd.length, None
         if cmd.lba + cmd.length > spec.capacity:
-            return CompletionEntry.STATUS_ERROR
+            return CompletionEntry.STATUS_ERROR, cmd.length, None
         # internal_bandwidth is the device total; a command executing on
         # one flash channel moves data at the per-channel share, so the
         # full rate is only reached with channel-parallel command queues.
@@ -176,34 +105,14 @@ class Ssd(PcieDevice):
             data = self._media_read(cmd.lba, cmd.length)
             yield from self.dma_write(cmd.buffer_addr, data)
             self.bytes_read += cmd.length
-            return CompletionEntry.STATUS_OK
+            return CompletionEntry.STATUS_OK, cmd.length, None
         if cmd.opcode == NvmeCommand.OP_WRITE:
             data = yield from self.dma_read(cmd.buffer_addr, cmd.length)
             yield self.sim.timeout(spec.write_latency_ns + transfer_ns)
             self._media_write(cmd.lba, data)
             self.bytes_written += cmd.length
-            return CompletionEntry.STATUS_OK
-        return CompletionEntry.STATUS_ERROR
-
-    def _complete(self, index: int, status: int, length: int):
-        cq = DescriptorRing(
-            self.bar.regs[self.REG_CQ_RING], self.spec.n_sq_entries,
-            entry_bytes=COMPLETION_BYTES,
-        )
-        cq_index = self._cq_index
-        self._cq_index += 1
-        # Cooperative backpressure: piggyback the device's SQ occupancy
-        # (dispatched minus completed, per-mille of the queue) in the
-        # otherwise-unused ``value`` field.  Same 16 B wire format;
-        # clients that ignore value behave as before.
-        inflight = max(0, self._sq_head - self.commands_completed)
-        entry = CompletionEntry(
-            seq=seq_for_pass(cq_index // cq.n_entries),
-            status=status, index=index % (1 << 16), length=length,
-            value=min(1000, (1000 * inflight) // self.spec.n_sq_entries),
-        )
-        yield from self.dma_write(cq.entry_addr(cq_index), entry.encode())
-        self.commands_completed += 1
+            return CompletionEntry.STATUS_OK, cmd.length, None
+        return CompletionEntry.STATUS_ERROR, cmd.length, None
 
     # -- flash media (functional) ----------------------------------------------------
 
@@ -233,16 +142,3 @@ class Ssd(PcieDevice):
             self._media[base] = bytes(stored)
             cur += take
             pos += take
-
-    # -- telemetry ----------------------------------------------------------------------
-
-    def utilization(self) -> float:
-        window = self.sim.now - self._util_window_start
-        if window <= 0:
-            return 0.0
-        # Normalize by channel-parallel capacity.
-        return min(1.0, self._busy_ns / (window * self.spec.n_channels))
-
-    def reset_utilization_window(self) -> None:
-        self._busy_ns = 0.0
-        self._util_window_start = self.sim.now

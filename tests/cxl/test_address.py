@@ -5,10 +5,11 @@ import pytest
 from repro.cxl.address import (
     CACHELINE_BYTES,
     AddressRange,
-    InterleaveMap,
     line_base,
     line_range,
 )
+from repro.cxl.pod import POOL_BASE, CxlPod, PodConfig
+from repro.sim import Simulator
 
 
 def test_line_base_alignment():
@@ -67,57 +68,35 @@ def test_address_range_validation():
         AddressRange(0, 0)
 
 
-def _bytes_per_link(imap, addr, size):
-    totals = {}
-    for link, _chunk_addr, chunk_size in imap.split(addr, size):
-        totals[link] = totals.get(link, 0) + chunk_size
-    return totals
+def _pod(n_mhds):
+    return CxlPod(Simulator(), PodConfig(n_hosts=1, n_mhds=n_mhds,
+                                         mhd_capacity=1 << 20))
 
 
-def test_interleave_round_robin_at_256B():
-    imap = InterleaveMap(4)
-    assert imap.split(0, 256) == [(0, 0, 256)]
-    assert imap.split(255, 2) == [(0, 255, 1), (1, 256, 1)]
-    # Block k goes to link k mod 4: the fifth block wraps to link 0.
-    assert [link for link, _, _ in imap.split(0, 5 * 256)] == [0, 1, 2, 3, 0]
-    assert imap.split(1024, 64) == [(0, 1024, 64)]
-
-
-def test_interleave_split_preserves_total_size():
-    imap = InterleaveMap(3)
-    chunks = imap.split(100, 1000)
-    assert sum(size for _, _, size in chunks) == 1000
-    # Chunks are contiguous and in order.
-    cur = 100
-    for _link, addr, size in chunks:
-        assert addr == cur
-        cur += size
+def _bytes_per_mhd(pod, addr, size):
+    return {idx: length for idx, _media, _dev, length
+            in pod.extents(addr, size)}
 
 
 def test_interleave_bytes_per_link_balances_large_transfers():
-    imap = InterleaveMap(4)
-    totals = _bytes_per_link(imap, 0, 64 * 1024)
+    totals = _bytes_per_mhd(_pod(4), POOL_BASE, 64 * 1024)
     assert set(totals) == {0, 1, 2, 3}
     assert max(totals.values()) - min(totals.values()) <= 256
 
 
 def test_interleave_single_link_takes_all():
-    imap = InterleaveMap(1)
-    assert _bytes_per_link(imap, 0, 4096) == {0: 4096}
+    assert _bytes_per_mhd(_pod(1), POOL_BASE + 100, 4096) == {0: 4096}
 
 
 def test_interleave_validation():
-    with pytest.raises(ValueError):
-        InterleaveMap(0)
-    with pytest.raises(ValueError):
-        InterleaveMap(2, granularity=100)  # not a cacheline multiple
-    imap = InterleaveMap(2)
-    with pytest.raises(ValueError):
-        imap.split(0, 0)
+    # The pod's interleave granularity must be a whole number of lines.
+    for granularity in (0, 32, 100):
+        with pytest.raises(ValueError):
+            PodConfig(interleave_bytes=granularity)
+    assert PodConfig(interleave_bytes=128).interleave_bytes == 128
 
 
 def test_cacheline_never_crosses_interleave_block():
-    imap = InterleaveMap(8)
+    pod = _pod(8)
     for base in range(0, 4096, CACHELINE_BYTES):
-        chunks = imap.split(base, CACHELINE_BYTES)
-        assert len(chunks) == 1
+        assert len(pod.extents(POOL_BASE + base, CACHELINE_BYTES)) == 1

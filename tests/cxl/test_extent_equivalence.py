@@ -135,15 +135,22 @@ class LinePod(CxlPod):
             return [(self._ras_span_index(offset, size), addr, size)]
         return [
             (link, self.pool_range.base + chunk_off, chunk_size)
-            for link, chunk_off, chunk_size
-            in self.interleave.split(offset, size)
+            for link, chunk_off, chunk_size in self._blocks(offset, size)
         ]
+
+    def _blocks(self, offset, size):
+        """``(mhd, offset, size)`` per interleave block of a span of the
+        interleaved region, in address order: block k is on MHD k mod n."""
+        gran, n = self.config.interleave_bytes, self.config.n_mhds
+        end = offset + size
+        return [(block % n, max(offset, block * gran),
+                 min(end, (block + 1) * gran) - max(offset, block * gran))
+                for block in range(offset // gran, (end - 1) // gran + 1)]
 
     def span_bytes_per_link(self, offset, size):
         if offset + size <= self.interleaved_capacity:
             totals = {}
-            for link, _chunk_off, chunk_size in self.interleave.split(
-                    offset, size):
+            for link, _chunk_off, chunk_size in self._blocks(offset, size):
                 totals[link] = totals.get(link, 0) + chunk_size
             return totals
         return {self._ras_span_index(offset, size): size}
@@ -662,7 +669,7 @@ def test_extents_agree_with_route_for_every_line(n_mhds, region, offset,
     assert met == [idx for idx, *_run in runs]
     assert filled == {idx: length for idx, _media, _dev, length in runs}
     if region == "interleaved":
-        gran = pod.interleave.granularity
+        gran = pod.config.interleave_bytes
         blocks = (addr + size - 1) // gran - addr // gran + 1
         assert len(runs) == min(n_mhds, blocks)
     else:

@@ -14,6 +14,7 @@ from repro.datapath.proxy import (
     LocalDeviceHandle,
     RemoteDeviceHandle,
 )
+from repro.health import OverloadError
 from repro.pcie.nic import Nic, TX_QUEUE
 from repro.sim import Simulator
 
@@ -374,4 +375,91 @@ def test_journal_cap_is_constructor_configurable(setup):
     # small to keep hedged replays recognizable.
     assert server.journal_occupancy == 3
     assert server.journal_evictions == 2
+    teardown(sim, eps)
+
+
+# ------------------------------------------- both verbs, every outcome
+
+
+def _busy_until_drained(sim, nic, server, handle):
+    server._inflight = server.max_inflight      # every admission slot taken
+
+    def drain():
+        yield sim.timeout(30_000.0)             # before the paced retry
+        server._inflight = 0
+
+    sim.spawn(drain())
+
+
+def _busy_forever(sim, nic, server, handle):
+    server._inflight = server.max_inflight
+    handle.overload_retry_limit = 2
+
+
+def _stale_token(sim, nic, server, handle):
+    server.set_lease(1, token=7, expires_at_ns=1e15)
+    handle.token = 3
+    handle.resolver = lambda: (handle.endpoint, 7)
+
+
+def _withdrawn(sim, nic, server, handle):
+    server.withdraw(1)
+
+
+def _failed(sim, nic, server, handle):
+    nic.fail()
+
+
+def _one_op_id(sim, nic, server, handle):
+    handle.op_id_source = lambda: 77
+
+
+OK = "ok"
+
+#: outcome -> (arrange, calls, result, counts): the verb runs ``calls``
+#: times and gives ``result`` (OK, or the error it raises); ``counts``
+#: are then (device accesses, journal entries, busy nacks, fence
+#: replays, duplicates replayed).
+FORWARDED_OUTCOMES = {
+    "ok": (None, 1, OK, (1, 1, 0, 0, 0)),
+    "busy_then_admitted": (_busy_until_drained, 1, OK, (1, 1, 1, 0, 0)),
+    "busy_patience_exhausted": (_busy_forever, 1, OverloadError,
+                                (0, 0, 3, 0, 0)),
+    "fence_replay": (_stale_token, 1, OK, (1, 1, 0, 1, 0)),
+    "unknown_device": (_withdrawn, 1, DeviceWithdrawnError, (0, 0, 0, 0, 0)),
+    "failed_device": (_failed, 1, DeviceGoneError, (0, 1, 0, 0, 0)),
+    "duplicate_op_id": (_one_op_id, 2, OK, (1, 1, 0, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("outcome", list(FORWARDED_OUTCOMES))
+@pytest.mark.parametrize("verb", ["write", "read"])
+def test_both_verbs_through_every_forwarded_outcome(setup, verb, outcome):
+    sim, pod, nic, server, handle, eps = setup
+    arrange, calls, result, counts = FORWARDED_OUTCOMES[outcome]
+    nic.bar.regs[Nic.REG_TX_RING] = 0x17
+    if arrange is not None:
+        arrange(sim, nic, server, handle)
+
+    def proc():
+        try:
+            for _ in range(calls):
+                if verb == "write":
+                    yield from handle.write_register(Nic.REG_TX_RING, 0x42)
+                else:
+                    value = yield from handle.read_register(Nic.REG_TX_RING)
+                    assert value == 0x17
+        except (DeviceGoneError, OverloadError) as exc:
+            return type(exc)
+        return OK
+
+    p = sim.spawn(proc())
+    sim.run(until=p)
+    assert p.value is result
+    if result is OK:
+        assert nic.bar.regs[Nic.REG_TX_RING] == (
+            0x42 if verb == "write" else 0x17)
+    assert (nic.mmio_writes + nic.mmio_reads, server.journal_occupancy,
+            handle.busy_nacks, handle.fence_replays,
+            server.dup_suppressed) == counts
     teardown(sim, eps)
