@@ -39,7 +39,7 @@ def accel_experiment(n_borrowers=8, jobs_per_host=12,
         for _ in range(jobs_per_host):
             yield sim.timeout(float(rng.exponential(think_time_ns)))
             t0 = sim.now
-            yield from client.run_job(KERNEL_FHE_MULT, bytes(16 << 10))
+            yield from client.run_job(KERNEL_FHE_MULT, bytes(4 << 10))
             waits.append(sim.now - t0)
 
     # Each borrower gets its own rings; they time-share the device by

@@ -3,8 +3,9 @@
 The observability layer must be free when disabled and nearly free when
 enabled: spans are appended to a Python list off the simulated clock, so
 the *simulated* results are identical and only wall-clock pays.  The CI
-trace job runs the p50 guard below; the determinism check mirrors the
-chaos soak's bit-identical-log assertion with tracing switched on.
+trace job runs the p50 guard below; the determinism check runs the chaos
+runbook's first cell plain, traced and profiled, and compares the whole
+outcome (fault log, verdicts, summary and sim time).
 """
 
 import time
@@ -13,13 +14,12 @@ import numpy as np
 
 from benchmarks.conftest import banner, run_once
 from repro.channel.pingpong import run_pingpong
-from repro.core.pool import PciePool
-from repro.faults import ChaosCampaign, ChaosConfig, FaultInjector, FaultLog
 from repro.obs import runtime as _obs
 from repro.obs.attribution import attribute_tracer
 from repro.obs.flight import FlightRecorder
 from repro.obs.trace import Tracer
-from repro.sim import Simulator
+from repro.scenarios import resolve_runbook, run_cell
+from repro.sim.profile import KernelProfiler, profiled
 
 N_MESSAGES = 1500
 
@@ -80,46 +80,26 @@ def test_tracing_overhead_and_identical_results(benchmark):
     assert breakdown.reconciliation_error() <= 0.01
 
 
-def test_chaos_fault_log_identical_with_tracing():
-    """A chaos soak's fault log must not change when tracing is on."""
-    config = ChaosConfig(
-        duration_ns=400_000_000.0,
-        device_flaps=3, link_flaps=2,
-        agent_crashes=0, orchestrator_restarts=0,
-        min_down_ns=5_000_000.0, max_down_ns=20_000_000.0,
-        settle_ns=100_000_000.0,
-        mhd_degrades=0, mem_poisons=1,
-    )
+def test_chaos_cell_identical_with_tracing_and_profiling():
+    """The chaos runbook's first cell must not change when it is traced
+    (with the flight recorder riding the tracer) or profiled."""
+    cell = resolve_runbook("chaos").expand()[0]
 
-    def run_soak():
-        sim = Simulator(seed=13)
-        pool = PciePool(sim, n_hosts=3,
-                        ctl_poll_ns=200_000.0, dev_poll_ns=50_000.0)
-        pool.add_nic("h0")
-        pool.add_nic("h1")
-        pool.start()
-        schedule = ChaosCampaign(pool, config).schedule()
-        log = FaultLog()
-        FaultInjector(pool, log=log).run(schedule)
-        sim.run(until=sim.timeout(config.duration_ns - sim.now))
-        pool.stop()
-        return log.signature(), [e.line() for e in log]
+    def outcome():
+        r = run_cell(cell, label="chaos")
+        return (r.signature, r.events, r.violations, r.expect_failures,
+                r.error, r.summary, r.sim_ns)
 
-    plain_sig, plain_lines = run_soak()
-    _obs.enable_tracing(Tracer())
-    try:
-        traced_sig, traced_lines = run_soak()
-    finally:
-        _obs.disable_tracing()
-    assert plain_lines and plain_lines == traced_lines
-    assert plain_sig == traced_sig
-    # The flight recorder rides the tracer; it must be equally inert.
+    plain = outcome()
+    assert plain[1] and not plain[2] and not plain[3] and not plain[4]
     _obs.enable_tracing(Tracer())
     _obs.enable_flight_recorder(FlightRecorder(cap_bytes=32 * 1024))
     try:
-        recorded_sig, recorded_lines = run_soak()
+        recorded = outcome()
     finally:
         _obs.disable_flight_recorder()
         _obs.disable_tracing()
-    assert plain_lines == recorded_lines
-    assert plain_sig == recorded_sig
+    assert recorded == plain
+    with profiled(KernelProfiler()):
+        profiled_outcome = outcome()
+    assert profiled_outcome == plain

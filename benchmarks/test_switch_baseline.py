@@ -10,12 +10,12 @@ never sees, in exchange for a ~$100k/rack hardware saving.
 """
 
 from benchmarks.conftest import banner, run_once
+from repro.analysis.costs import PcieSwitchCost
 from repro.channel.rpc import RpcEndpoint
 from repro.cxl.pod import CxlPod, PodConfig
 from repro.datapath.proxy import DeviceServer, RemoteDeviceHandle
-from repro.pcie.device import PcieDevice
 from repro.pcie.nic import Nic, TX_QUEUE
-from repro.pcie.switch import PcieSwitchCostModel, PcieSwitchFabric
+from repro.pcie.switch import PcieSwitchFabric
 from repro.sim import Simulator
 
 
@@ -81,7 +81,7 @@ def switch_experiment():
     return {
         "switch_ns": _measure_switch_path(),
         "cxl_ns": _measure_cxl_path(),
-        "switch_rack_usd": PcieSwitchCostModel().rack_cost(32),
+        "switch_rack_usd": PcieSwitchCost().rack_total(32),
     }
 
 

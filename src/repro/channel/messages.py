@@ -7,7 +7,7 @@ and orchestrator need to forward between hosts:
 * device-memory operations from remote hosts — MMIO reads/writes and
   doorbell rings (§4.1 "event signaling and host-to-host communications");
 * control-plane traffic between agents and the orchestrator — heartbeats,
-  load reports, allocation commands (§4.2).
+  load reports, failure reports, resyncs and leases (§4.2).
 
 All encodings are little-endian structs with a one-byte type tag.
 """
@@ -230,32 +230,6 @@ class DeviceFailure(Message):
     device_id: int
     reason: int
     epoch: int = 0
-
-
-@_register
-@dataclass(frozen=True)
-class AssignDevice(Message):
-    """Orchestrator -> agent: host now maps virtual device to phys device."""
-
-    TAG: ClassVar[int] = 19
-    _FMT: ClassVar[struct.Struct] = struct.Struct("<IQQ")
-
-    request_id: int
-    virtual_id: int
-    device_id: int
-
-
-@_register
-@dataclass(frozen=True)
-class Migrate(Message):
-    """Orchestrator -> agent: move workload from one device to another."""
-
-    TAG: ClassVar[int] = 20
-    _FMT: ClassVar[struct.Struct] = struct.Struct("<IQQ")
-
-    request_id: int
-    from_device: int
-    to_device: int
 
 
 # -- self-healing control plane (orchestrator restart / agent resync) ---------

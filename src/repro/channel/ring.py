@@ -274,8 +274,7 @@ class RingSender:
         """Messages in flight as of the last progress observation."""
         return self._head - self._known_consumed
 
-    def send(self, payload: bytes,
-             poll_interval_ns: float = RING_FULL_POLL_NS, ctx=None,
+    def send(self, payload: bytes, ctx=None,
              deadline_ns: float | None = None):
         """Process: enqueue ``payload`` (<= 57 B), blocking while full.
 
@@ -298,11 +297,9 @@ class RingSender:
         reserved the store always completes (abandoning a reserved slot
         would wedge the receiver's FIFO seq expectations).
         """
-        return self._send((payload,), "ring.send", poll_interval_ns, ctx,
-                          deadline_ns)
+        return self._send((payload,), "ring.send", ctx, deadline_ns)
 
-    def send_burst(self, payloads,
-                   poll_interval_ns: float = RING_FULL_POLL_NS, ctx=None,
+    def send_burst(self, payloads, ctx=None,
                    deadline_ns: float | None = None):
         """Process: enqueue several payloads, batching the per-slot costs.
 
@@ -320,11 +317,10 @@ class RingSender:
         already-reserved chunks published (the return value is never
         partial — the exception is the only signal).
         """
-        return self._send(payloads, "ring.send_burst", poll_interval_ns,
-                          ctx, deadline_ns)
+        return self._send(payloads, "ring.send_burst", ctx, deadline_ns)
 
-    def _send(self, payloads, span_name: str, poll_interval_ns: float,
-              ctx, deadline_ns: float | None):
+    def _send(self, payloads, span_name: str, ctx,
+              deadline_ns: float | None):
         """Process: the one reservation loop behind :meth:`send` and
         :meth:`send_burst`; returns the number of messages sent.
 
@@ -386,7 +382,7 @@ class RingSender:
                         continue
                     if self._head - self._known_consumed < n_slots:
                         continue
-                    yield sim.timeout(poll_interval_ns)
+                    yield sim.timeout(RING_FULL_POLL_NS)
                 wait_ns += sim.now - chunk_entered_ns
                 take = 1 if degraded else min(free, total - sent)
                 first = self._head

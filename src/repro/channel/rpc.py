@@ -106,7 +106,6 @@ class RpcEndpoint:
         #: is dropped (and counted) rather than matched to a later call.
         self._abandoned: set[int] = set()
         self._handlers: dict[type, Callable] = {}
-        self._default_handler: Optional[Callable] = None
         self._dispatcher = sim.spawn(
             self._dispatch_loop(), name=f"rpc-dispatch:{name}"
         )
@@ -178,10 +177,6 @@ class RpcEndpoint:
         generator function (run as a process per message).
         """
         self._handlers[message_type] = handler
-
-    def on_any(self, handler: Callable) -> None:
-        """Fallback handler for message types with no specific handler."""
-        self._default_handler = handler
 
     def close(self) -> None:
         """Stop the dispatcher (endpoint becomes send-only)."""
@@ -553,8 +548,6 @@ class RpcEndpoint:
             self.late_replies_dropped += 1
         elif rid in self._calls:
             self._calls.pop(rid).succeed(message)
-        elif self._default_handler is not None:
-            self._run_handler(self._default_handler, message, trace_ctx)
         # Otherwise no call waits for it and nothing handles it: drop it.
 
     def _run_handler(self, handler: Callable, message: Message,

@@ -8,17 +8,20 @@ Usage::
     python -m repro sqrtn           # §2.1 pooling estimate
     python -m repro cost            # §1/§3 dollars
     python -m repro torless         # §5 rack availability
-    python -m repro trace fig4      # Chrome/Perfetto trace of an experiment
-    python -m repro attribute fig4  # per-phase critical-path breakdown
+    python -m repro trace chaos     # Chrome/Perfetto trace of a target
+    python -m repro attribute overload  # per-phase critical-path breakdown
     python -m repro profile         # sim-kernel profiler (events/s)
-    python -m repro metrics         # Prometheus-style metrics dump
+    python -m repro metrics fig4 chaos  # Prometheus-style metrics dump
     python -m repro scenario list   # show checked-in runbooks
     python -m repro scenario run gray   # run a runbook matrix
     python -m repro list            # show available experiments
 
 Each command prints the same series the corresponding benchmark (and
 the paper's figure) reports.  For the full harness with assertions, run
-``pytest benchmarks/ --benchmark-only -s``.
+``pytest benchmarks/ --benchmark-only -s``.  The four inspect commands
+(trace, attribute, profile, metrics) run targets: ``fig4`` or a runbook
+cell (``chaos``, ``lease/seed=29``, ``overload/load=3x/seed=17``, or a
+runbook JSON path).
 """
 
 from __future__ import annotations
@@ -141,201 +144,82 @@ def _cmd_torless(args) -> None:
               f"{design.switch_cost_usd:>9,.0f}")
 
 
-def _run_doorbell_scenario(seed: int = 7, n_datagrams: int = 8) -> dict:
-    """Remote-doorbell traffic with a mid-stream MemPoison retransmit.
+def _run_target(target: str, messages: int) -> str:
+    """Run one inspect target; return a line saying what ran.
 
-    A client on h2 borrows h0's NIC (every doorbell is forwarded over a
-    ring channel); halfway through, one line of the device-forwarding
-    ring is poisoned so the channel's CRC/poison machinery has to detect
-    and retransmit — the recovery shows up as ``ring.slot_corrupt``
-    instants and ``rpc.backoff`` annotations in the trace.
+    ``fig4`` is ``messages`` ping-pong rounds.  Anything else is a
+    runbook: a checked-in name or a JSON path runs its first cell at its
+    first seed, and ``name/cell-id`` picks another cell of a checked-in
+    runbook.  The run sees whatever tracer, profiler or registry the
+    caller armed; a cell that fails its auditors or expects exits
+    nonzero.
     """
-    from repro.core import PciePool
-    from repro.faults import FaultInjector
-    from repro.sim import Simulator
+    if target == "fig4":
+        from repro.channel.pingpong import run_pingpong
 
-    sim = Simulator(seed=seed)
-    pool = PciePool(sim, n_hosts=3, n_mhds=2)
-    pool.add_nic("h0")
-    pool.add_nic("h1")
-    pool.start()
-    server_vnic = pool.open_nic("h1")   # local NIC
-    client_vnic = pool.open_nic("h2")   # borrows h0's NIC: remote doorbells
-    injector = FaultInjector(pool)
+        result = run_pingpong(n_messages=messages, seed=0)
+        return (f"fig4: {messages} ping-pong rounds "
+                f"(median {result.median_ns:.0f} ns)")
+    from repro.scenarios import (
+        RunbookError,
+        builtin_runbooks,
+        resolve_runbook,
+        run_cell,
+    )
 
-    def server():
-        yield from server_vnic.start()
-        sock = server_vnic.stack.bind(80)
-        for _ in range(n_datagrams):
-            yield from sock.recv()
-
-    def client():
-        yield from client_vnic.start()
-        sock = client_vnic.stack.bind(1234)
-        for i in range(n_datagrams):
-            if i == n_datagrams // 2:
-                # Poison the slot the owner-side dispatcher polls next.
-                # The poll read detects it (poison hit + lost slot), so
-                # the forwarded register read issued right after lands in
-                # a skipped slot, times out, and is retransmitted — all
-                # visible in the trace as a retry_loop span with a
-                # backoff instant.
-                from repro.pcie.device import PcieDevice
-
-                tx = client_vnic.stack.handle.endpoint.tx
-                index = tx._head % tx.layout.n_slots
-                injector.poison_memory(
-                    tx.region.base + tx.layout.slot_offset(index),
-                    n_lines=1,
-                )
-                # Let the dispatcher's next poll trip on the poison (and
-                # skip the slot) before we send into it; a send first
-                # would scrub the line with its full-line NT store.
-                yield sim.timeout(5_000.0)
-                yield from client_vnic.stack.handle.read_register(
-                    PcieDevice.REG_STATUS)
-            yield from sock.sendto(b"x" * 64, server_vnic.mac, 80)
-            yield sim.timeout(200_000.0)
-
-    s = sim.spawn(server(), name="trace-server")
-    sim.spawn(client(), name="trace-client")
-    sim.run(until=s)
-    ras = pool.export_ras_telemetry()
-    ctl = pool.export_control_plane_telemetry()
-    pool.stop()
-    return {
-        "crc_rejects": ras["ring.crc_rejects"],
-        "poison_hits": ras["ring.poison_hits"],
-        "retries": ctl["rpc.retries"],
-        "forwarded": float(client_vnic.is_remote),
-    }
+    name, _, cell_id = target.partition("/")
+    if name not in builtin_runbooks():
+        name, cell_id = target, ""
+    try:
+        runbook = resolve_runbook(name)
+    except RunbookError as exc:
+        raise SystemExit(str(exc)) from None
+    cells = runbook.expand()
+    if cell_id:
+        picked = [cell for cell in cells if cell.cell_id == cell_id]
+        if not picked:
+            raise SystemExit(
+                f"runbook {runbook.name} has no cell {cell_id!r}; its "
+                f"cells: {', '.join(cell.cell_id for cell in cells)}")
+        cells = picked
+    result = run_cell(cells[0], label=runbook.name)
+    _exit_if_failed([result])
+    return (f"{runbook.name}/{result.cell_id}: every auditor and expect "
+            f"passes (sim {result.sim_ns / 1e9:.3f} s, faults logged: "
+            f"{len(result.events)})")
 
 
-def _run_failover_scenario(seed: int = 7, n_ios: int = 6) -> dict:
-    """Mid-I/O owner-host failure healed by lease-fenced failover.
-
-    A client on h2 drives a pooled SSD.  Halfway through the I/O stream
-    the owning host dies for real: its control ring is partitioned, its
-    agent crashes, and the device itself fails.  No component tells the
-    orchestrator — detection is pure lease expiry.  The in-flight write
-    that started on the dying owner completes on the successor device;
-    its single ``vssd.write`` span crosses the whole handover, with the
-    ``vssd.failover`` and ``orch.lease_expired`` events nested inside
-    the same trace.
-    """
-    from repro.core import PciePool
-    from repro.faults import FaultInjector
-    from repro.sim import Simulator
-
-    sim = Simulator(seed=seed)
-    pool = PciePool(sim, n_hosts=3, n_mhds=2)
-    pool.add_ssd("h0")
-    pool.add_ssd("h1")
-    pool.start()
-    injector = FaultInjector(pool)
-    client = pool.open_ssd("h2")
-    statuses: list[int] = []
-
-    def workload():
-        yield from client.setup()
-        for i in range(n_ios):
-            if i == n_ios // 2:
-                victim_id = client.handle.device_id
-                victim_owner = pool.owner_of(victim_id)
-                injector.partition_host(victim_owner)
-                injector.crash_agent(victim_owner)
-                injector.crash_device(victim_id)
-            status = yield from client.write(i, b"x" * 4096)
-            statuses.append(status)
-
-    proc = sim.spawn(workload(), name="failover-client")
-    sim.run(until=proc)
-    violations = pool.check_fencing_invariant()
-    lease = pool.export_lease_telemetry()
-    pool.stop()
-    return {
-        "completed": float(len(statuses)),
-        "submitted": float(client.ops_submitted),
-        "failovers": float(client.failovers),
-        "resubmitted": float(client.resubmitted),
-        "lease_expiries": lease["lease.expired"],
-        "fenced_ops": lease["proxy.fenced_ops"],
-        "invariant_violations": float(len(violations)),
-    }
+def _exit_if_failed(cells) -> None:
+    """Print each failed cell's violations and errors; exit 1 if any."""
+    failed = [cell for cell in cells if not cell.ok]
+    for cell in failed:
+        for line in cell.violations + cell.expect_failures + [cell.error]:
+            if line:
+                print(f"FAIL {cell.cell_id}: {line}", file=sys.stderr)
+    if failed:
+        raise SystemExit(1)
 
 
-def _run_overload_scenario(seed: int = 7, n_ios: int = 12,
-                           storm_ns: float = 30_000_000.0) -> dict:
-    """Pooled-SSD writes competing with an open-loop overload storm.
-
-    A client on h2 drives h0's pooled SSD while an open-loop storm on
-    the *same* borrower host floods the shared forwarding path with
-    register reads.  The storm and the client contend for the one
-    h2->h0 device server, whose admission cap is tightened so busy
-    nacks actually fire; the client rides the full overload-control
-    stack (AIMD pacing, retry budget, busy-nack pauses), so its
-    ``vssd.write`` spans carry real admission/pacing/retry phases for
-    the attributor to break down.
-    """
-    from repro.core import PciePool
-    from repro.sim import Simulator
-
-    sim = Simulator(seed=seed)
-    pool = PciePool(sim, n_hosts=3, n_mhds=2)
-    pool.add_ssd("h0")
-    pool.start()
-    client = pool.open_ssd("h2")
-    # Tiny admission cap (as in tests/core/test_brownout.py): a depth-8
-    # storm saturates it, so contention is real rather than nominal.
-    server = pool._device_servers[("h0", "h2")][2]
-    server.max_inflight = 4
-    statuses: list[int] = []
-
-    def workload():
-        yield from client.setup()
-        # First write warms the path before the storm begins.
-        status = yield from client.write(0, b"x" * 4096)
-        statuses.append(status)
-        pool.overload_storm("h2", client.handle.device_id,
-                            duration_ns=storm_ns, depth=8)
-        for i in range(1, n_ios):
-            status = yield from client.write(i, b"x" * 4096)
-            statuses.append(status)
-
-    proc = sim.spawn(workload(), name="overload-client")
-    sim.run(until=proc)
-    sim.run(until=sim.now + storm_ns)  # let the storm drain
-    stats = {
-        "completed": float(len(statuses)),
-        "submitted": float(client.ops_submitted),
-        "storms": float(pool.overload_storms),
-    }
-    pool.stop()
-    return stats
-
-
-def _cmd_attribute(args) -> None:
-    import json
-
+def _run_traced(args):
+    """Run ``args.target`` under a fresh tracer; return it and the line."""
     from repro.obs import runtime as _obs
-    from repro.obs.attribution import attribute_tracer, render_breakdown
     from repro.obs.trace import Tracer
 
     tracer = Tracer()
     _obs.enable_tracing(tracer)
     try:
-        if args.experiment == "fig4":
-            from repro.channel.pingpong import run_pingpong
-
-            result = run_pingpong(n_messages=args.messages, seed=0)
-            title = (f"fig4: {args.messages} ping-pong rounds "
-                     f"(median {result.median_ns:.0f} ns)")
-        else:
-            stats = _run_overload_scenario()
-            title = (f"overload: {stats['completed']:.0f} writes under "
-                     f"{stats['storms']:.0f} storm(s)")
+        line = _run_target(args.target, args.messages)
     finally:
         _obs.disable_tracing()
+    return tracer, line
+
+
+def _cmd_attribute(args) -> None:
+    import json
+
+    from repro.obs.attribution import attribute_tracer, render_breakdown
+
+    tracer, title = _run_traced(args)
     breakdown = attribute_tracer(tracer)
     print(render_breakdown(breakdown, title))
     error = breakdown.reconciliation_error()
@@ -361,13 +245,9 @@ def _cmd_profile(args) -> None:
 
     profiler = KernelProfiler()
     with profiled(profiler):
-        from repro.channel.pingpong import run_pingpong
-
-        profiler.mark_phase("pingpong")
-        run_pingpong(n_messages=args.messages, seed=0)
-        if not args.no_pool:
-            profiler.mark_phase("doorbell")
-            _run_doorbell_scenario()
+        for target in args.targets:
+            profiler.mark_phase(target)
+            print(_run_target(target, args.messages))
     report = profiler.report(top=args.top)
     print(profiler.render(top=args.top))
     _obs.METRICS.gauge(_names.PROFILE_EVENTS_PER_SEC).set(
@@ -387,41 +267,10 @@ def _cmd_profile(args) -> None:
 def _cmd_trace(args) -> None:
     import json
 
-    from repro.obs import runtime as _obs
     from repro.obs.export import export_chrome_trace, validate_chrome_trace
-    from repro.obs.trace import Tracer
 
-    tracer = Tracer()
-    _obs.enable_tracing(tracer)
-    try:
-        if args.experiment == "fig4":
-            from repro.channel.pingpong import run_pingpong
-
-            result = run_pingpong(n_messages=args.messages, seed=0)
-            print(f"fig4: traced {args.messages} ping-pong rounds "
-                  f"(median {result.median_ns:.0f} ns)")
-        elif args.experiment == "failover":
-            stats = _run_failover_scenario()
-            print("failover: mid-I/O owner death healed by lease expiry "
-                  f"(completed={stats['completed']:.0f}/"
-                  f"{stats['submitted']:.0f} "
-                  f"failovers={stats['failovers']:.0f} "
-                  f"resubmitted={stats['resubmitted']:.0f} "
-                  f"lease_expiries={stats['lease_expiries']:.0f} "
-                  f"invariant_violations="
-                  f"{stats['invariant_violations']:.0f})")
-            if (stats["completed"] != stats["submitted"]
-                    or stats["invariant_violations"]):
-                raise SystemExit("failover scenario lost I/O or "
-                                 "violated the fencing invariant")
-        else:
-            stats = _run_doorbell_scenario()
-            print("doorbell: remote doorbell under MemPoison retransmit "
-                  f"(poison_hits={stats['poison_hits']:.0f} "
-                  f"crc_rejects={stats['crc_rejects']:.0f} "
-                  f"rpc_retries={stats['retries']:.0f})")
-    finally:
-        _obs.disable_tracing()
+    tracer, line = _run_traced(args)
+    print(line)
     n_events = export_chrome_trace(tracer, args.out)
     with open(args.out) as fh:
         problems = validate_chrome_trace(json.load(fh))
@@ -434,20 +283,16 @@ def _cmd_trace(args) -> None:
 
 
 def _cmd_metrics(args) -> None:
-    from repro.channel.pingpong import run_pingpong
     from repro.obs import names as _names
     from repro.obs import runtime as _obs
     from repro.obs.export import render_prometheus
 
     _obs.reset_metrics()
     # Pre-register the whole catalog so every series renders (at zero)
-    # even when the scenario below never exercises its subsystem.
+    # even when no target exercises its subsystem.
     _names.preregister(_obs.METRICS)
-    run_pingpong(n_messages=args.messages, seed=0)
-    if not args.no_pool:
-        # A short pooled-traffic soak (with one poison event) so RAS and
-        # control-plane gauges appear alongside the latency histograms.
-        _run_doorbell_scenario()
+    for target in args.targets:
+        _run_target(target, args.messages)
     text = render_prometheus(_obs.METRICS)
     if args.out:
         with open(args.out, "w") as fh:
@@ -511,15 +356,7 @@ def _cmd_scenario_run(args) -> None:
         with open(args.table, "w") as fh:
             fh.write(table + "\n")
         print(f"wrote {args.table}")
-    failed = result.failed_cells
-    if failed:
-        for cell in failed:
-            for line in cell.violations + cell.expect_failures:
-                print(f"FAIL {cell.cell_id}: {line}", file=sys.stderr)
-            if cell.error:
-                print(f"FAIL {cell.cell_id}: {cell.error}",
-                      file=sys.stderr)
-        raise SystemExit(1)
+    _exit_if_failed(result.cells)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -558,11 +395,15 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--lam", type=int, default=4)
     p.set_defaults(fn=_cmd_torless)
 
+    target_help = ("fig4 (the ping-pong) or a runbook: a checked-in "
+                   "name (its first cell), name/cell-id (see 'scenario "
+                   "list') or a JSON path")
+
     p = sub.add_parser(
         "trace",
-        help="run an experiment with tracing on; export Chrome JSON",
+        help="run a target with tracing on; export Chrome JSON",
     )
-    p.add_argument("experiment", choices=["fig4", "doorbell", "failover"])
+    p.add_argument("target", help=target_help)
     p.add_argument("--messages", type=int, default=200,
                    help="ping-pong rounds for fig4")
     p.add_argument("--out", default="trace.json")
@@ -570,10 +411,10 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser(
         "attribute",
-        help="run an experiment with tracing on; print the per-phase "
+        help="run a target with tracing on; print the per-phase "
              "critical-path latency breakdown",
     )
-    p.add_argument("experiment", choices=["fig4", "overload"])
+    p.add_argument("target", help=target_help)
     p.add_argument("--messages", type=int, default=200,
                    help="ping-pong rounds for fig4")
     p.add_argument("--out", default=None,
@@ -582,12 +423,13 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser(
         "profile",
-        help="run experiments under the sim-kernel profiler; print "
+        help="run targets under the sim-kernel profiler; print "
              "events/s and per-component wall-time attribution",
     )
-    p.add_argument("--messages", type=int, default=2000)
-    p.add_argument("--no-pool", action="store_true",
-                   help="profile the ping-pong workload only")
+    p.add_argument("targets", nargs="*", default=["fig4"],
+                   help=target_help + "; one phase each (default: fig4)")
+    p.add_argument("--messages", type=int, default=2000,
+                   help="ping-pong rounds for fig4")
     p.add_argument("--top", type=int, default=12,
                    help="rows per attribution table")
     p.add_argument("--out", default=None,
@@ -596,11 +438,12 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser(
         "metrics",
-        help="run fig4 + a pooled soak; dump Prometheus-style metrics",
+        help="run targets; dump Prometheus-style metrics",
     )
-    p.add_argument("--messages", type=int, default=2000)
-    p.add_argument("--no-pool", action="store_true",
-                   help="skip the pooled soak (latency histograms only)")
+    p.add_argument("targets", nargs="*", default=["fig4"],
+                   help=target_help + " (default: fig4)")
+    p.add_argument("--messages", type=int, default=2000,
+                   help="ping-pong rounds for fig4")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_metrics)
 

@@ -63,11 +63,9 @@ class PciePool:
     def __init__(self, sim: Simulator, n_hosts: int = 4, n_mhds: int = 2,
                  mhd_capacity: int = 1 << 28,
                  link_spec: LinkSpec = LinkSpec(),
-                 orchestrator_host: Optional[str] = None,
                  policy=None,
                  ctl_poll_ns: float = 5_000.0,
                  dev_poll_ns: float = 30.0,
-                 mhd_probe_ns: float = 10_000_000.0,
                  lease_ttl_ns: Optional[float] = None,
                  lease_grace_ns: Optional[float] = None,
                  journal_cap: int = JOURNAL_CAP_DEFAULT):
@@ -88,7 +86,7 @@ class PciePool:
         if lease_grace_ns is not None:
             orch_kwargs["lease_grace_ns"] = lease_grace_ns
         self.orchestrator = Orchestrator(sim, policy=policy, **orch_kwargs)
-        self.orchestrator_host = orchestrator_host or self.pod.host_ids[0]
+        self.orchestrator_host = self.pod.host_ids[0]
         self.agents: dict[str, PoolingAgent] = {}
         self._devices: dict[int, object] = {}
         #: Physical topology (device -> attached host).  Kept pool-side so
@@ -114,7 +112,7 @@ class PciePool:
         # The probe cadence must be well under the heartbeat timeout so a
         # dead MHD's control channels are rebuilt before stale heartbeats
         # trigger a wave of spurious host failovers.
-        self.mhd_probe_ns = mhd_probe_ns
+        self.mhd_probe_ns = 10_000_000.0
         self._mhd_monitor = None
         self._mhd_down: set[int] = set()
         self.channels_rebuilt = 0

@@ -179,8 +179,7 @@ class RemoteDeviceHandle:
                  token: int = 0,
                  op_id_source: Optional[Callable[[], int]] = None,
                  resolver: Optional[Callable] = None,
-                 budget=None, pacer=None,
-                 overload_retry_limit: int = OVERLOAD_RETRY_LIMIT):
+                 budget=None, pacer=None):
         self.endpoint = endpoint
         self.device_id = device_id
         self.token = token
@@ -204,7 +203,7 @@ class RemoteDeviceHandle:
         # and nacks so the client above slows *before* hard rejection.
         self.budget = budget
         self.pacer = pacer
-        self.overload_retry_limit = overload_retry_limit
+        self.overload_retry_limit = OVERLOAD_RETRY_LIMIT
         self.busy_nacks = 0
         self.overload_errors = 0
         # Pre-register so the group renders in metric dumps even before

@@ -29,10 +29,6 @@ from repro.pcie.rings import (
     DESCRIPTOR_BYTES,
 )
 
-#: Bytes of output region per job slot: the accelerator writes at most
-#: this much of a job's result.
-OUT_SLOT_BYTES = 4096
-
 
 class RemoteAcceleratorClient(PooledQueueClient):
     """Offload jobs to a pooled accelerator.
@@ -70,7 +66,7 @@ class RemoteAcceleratorClient(PooledQueueClient):
         self.in_base = self.mem.alloc(
             self.n_entries * self.max_job_bytes, f"inputs{suffix}")
         self.out_base = self.mem.alloc(
-            self.n_entries * OUT_SLOT_BYTES, f"outputs{suffix}")
+            self.n_entries * Accelerator.OUT_SLOT_BYTES, f"outputs{suffix}")
 
     def _noop_entry(self) -> Descriptor:
         # A one-byte identity job (kernel 0) over the first input slot:
@@ -80,7 +76,8 @@ class RemoteAcceleratorClient(PooledQueueClient):
 
     def _bind_output(self, op) -> None:
         op.out_addr = (self.out_base
-                       + (op.index % self.n_entries) * OUT_SLOT_BYTES)
+                       + (op.index % self.n_entries)
+                       * Accelerator.OUT_SLOT_BYTES)
 
     def setup(self):
         """Process: reset queue state and configure the accelerator's
@@ -172,10 +169,12 @@ class RemoteAcceleratorClient(PooledQueueClient):
     def _read_result(self, span, comp, op):
         """Process: read a completed job's result from its output slot."""
         if comp.status != CompletionEntry.STATUS_OK:
-            raise IOError(f"{self.name}: job failed (status={comp.status})")
+            # The accelerator fails a job whose result overflows its slot.
+            raise IOError(
+                f"{self.name}: job failed (status={comp.status}, result "
+                f"{comp.length} B, output slot "
+                f"{Accelerator.OUT_SLOT_BYTES} B)")
         t_link = self.sim.now
-        result = yield from self.mem.read(
-            op.out_addr, min(comp.length, OUT_SLOT_BYTES)
-        )
+        result = yield from self.mem.read(op.out_addr, comp.length)
         add_phase_ns(span, "ph_link_ns", self.sim.now - t_link)
         return result

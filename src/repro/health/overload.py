@@ -176,11 +176,11 @@ class AimdWindow:
 
     * a clean completion with low piggybacked occupancy adds
       ``increase`` (additive probe for more room);
-    * a completion reporting occupancy >= ``pressure_permille``, or a
-      busy nack, multiplies the window by ``decrease_factor`` — at most
-      once per ``cooldown_ns`` of sim time, so the burst of completions
-      stamped by a single congestion event costs one decrease, not one
-      per ack (the standard once-per-RTT AIMD rule).
+    * a completion reporting occupancy >= ``AIMD_PRESSURE_PERMILLE``,
+      or a busy nack, multiplies the window by ``AIMD_DECREASE_FACTOR``
+      — at most once per ``cooldown_ns`` of sim time, so the burst of
+      completions stamped by a single congestion event costs one
+      decrease, not one per ack (the standard once-per-RTT AIMD rule).
 
     The window *starts at the ceiling*: a client that never sees
     pressure never pays — the uncontended fast path (and the burst
@@ -190,15 +190,11 @@ class AimdWindow:
     def __init__(self, name: str,
                  lo: float = AIMD_WINDOW_MIN, hi: float = AIMD_WINDOW_MAX,
                  increase: float = AIMD_INCREASE,
-                 decrease_factor: float = AIMD_DECREASE_FACTOR,
-                 pressure_permille: int = AIMD_PRESSURE_PERMILLE,
                  cooldown_ns: float = AIMD_DECREASE_COOLDOWN_NS):
         self.name = name
         self.lo = lo
         self.hi = hi
         self.increase = increase
-        self.decrease_factor = decrease_factor
-        self.pressure_permille = pressure_permille
         self.cooldown_ns = cooldown_ns
         self.window = hi
         self.inflight = 0
@@ -277,7 +273,7 @@ class AimdWindow:
 
     def on_ack(self, occupancy_permille: int, now: float) -> None:
         """Fold one completion's piggybacked occupancy into the window."""
-        if occupancy_permille >= self.pressure_permille:
+        if occupancy_permille >= AIMD_PRESSURE_PERMILLE:
             self._decrease(now)
         else:
             if self.window < self.hi:
@@ -294,7 +290,7 @@ class AimdWindow:
         if now - self._last_decrease_ns < self.cooldown_ns:
             return
         self._last_decrease_ns = now
-        self.window = max(self.lo, self.window * self.decrease_factor)
+        self.window = max(self.lo, self.window * AIMD_DECREASE_FACTOR)
         self.decreases += 1
         self._gauge.set(self.window)
 
@@ -323,12 +319,10 @@ class BrownoutController:
 
     def __init__(self, enter: float = BROWNOUT_ENTER_PRESSURE,
                  exit_: float = BROWNOUT_EXIT_PRESSURE,
-                 calm_ticks: int = BROWNOUT_CALM_TICKS,
-                 max_level: int = BROWNOUT_DEMOTE):
+                 calm_ticks: int = BROWNOUT_CALM_TICKS):
         self.enter = enter
         self.exit = exit_
         self.calm_ticks = calm_ticks
-        self.max_level = max_level
         self.level = BROWNOUT_NORMAL
         self.calm_streak = 0
         self.transitions: list[tuple[float, int]] = []
@@ -339,7 +333,7 @@ class BrownoutController:
         """Fold one tick's pressure; returns the (possibly new) level."""
         if pressure >= self.enter:
             self.calm_streak = 0
-            if self.level < self.max_level:
+            if self.level < BROWNOUT_DEMOTE:
                 self._move(self.level + 1, now)
         elif pressure <= self.exit:
             self.calm_streak += 1

@@ -71,12 +71,11 @@ class FlightRecorder:
     def __init__(self, cap_bytes: int = 64 * 1024,
                  tail_threshold_ns: float = 1_000_000.0,
                  max_exemplars: int = 4,
-                 max_exemplar_spans: int = 256,
                  max_trips: int = 64):
         self.cap_bytes = int(cap_bytes)
         self.tail_threshold_ns = float(tail_threshold_ns)
         self.max_exemplars = int(max_exemplars)
-        self.max_exemplar_spans = int(max_exemplar_spans)
+        self.max_exemplar_spans = 256
         self._rings: dict[str, deque] = {}
         self._ring_bytes: dict[str, int] = {}
         #: ``(-duration, trace_id)``-sorted pinned traces.

@@ -56,8 +56,7 @@ class PoolingAgent:
 
     def __init__(self, sim: Simulator, host_id: str,
                  endpoint: RpcEndpoint,
-                 report_interval_ns: float = 10_000_000.0,
-                 announce_every: int = 10):
+                 report_interval_ns: float = 10_000_000.0):
         self.sim = sim
         self.host_id = host_id
         self.endpoint = endpoint
@@ -65,7 +64,7 @@ class PoolingAgent:
         # Declarative re-announce cadence (in report intervals): the
         # eventual-consistency backstop if a Resync or failure event is
         # lost to an outage.
-        self.announce_every = announce_every
+        self.announce_every = 10
         #: Last orchestrator epoch this agent synced to (via Resync).
         self.epoch = 0
         self._devices: dict[int, PcieDevice] = {}

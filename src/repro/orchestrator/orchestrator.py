@@ -80,8 +80,7 @@ class Orchestrator:
                  heartbeat_timeout_ns: float = HEARTBEAT_TIMEOUT_NS,
                  rebalance_spread: float = 0.4,
                  lease_ttl_ns: float = DEFAULT_TTL_NS,
-                 lease_grace_ns: float = DEFAULT_GRACE_NS,
-                 work_silence_timeout_ns: float = WORK_SILENCE_TIMEOUT_NS):
+                 lease_grace_ns: float = DEFAULT_GRACE_NS):
         self.sim = sim
         self.policy = policy or LocalFirstPolicy()
         self.board = TelemetryBoard()
@@ -128,7 +127,7 @@ class Orchestrator:
         self._mhds_gray: set[int] = set()
         self.mhd_grays_seen = 0
         self.mhd_reinstates_seen = 0
-        self.work_silence_timeout_ns = work_silence_timeout_ns
+        self.work_silence_timeout_ns = WORK_SILENCE_TIMEOUT_NS
         #: Hosts whose agents look stalled: lease renewals are refused so
         #: their terms lapse and devices fail over with fencing intact.
         self._quarantined_hosts: set[str] = set()

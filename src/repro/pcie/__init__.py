@@ -25,7 +25,7 @@ from repro.pcie.nic import Nic, NicSpec, RX_QUEUE, TX_QUEUE
 from repro.pcie.physnic import PhysicalNic
 from repro.pcie.rings import CompletionEntry, Descriptor, DescriptorRing
 from repro.pcie.ssd import NvmeCommand, Ssd, SsdSpec
-from repro.pcie.switch import PcieSwitchCostModel, PcieSwitchFabric
+from repro.pcie.switch import PcieSwitchFabric
 
 __all__ = [
     "Accelerator",
@@ -41,7 +41,6 @@ __all__ = [
     "NicSpec",
     "NvmeCommand",
     "PcieDevice",
-    "PcieSwitchCostModel",
     "PcieSwitchFabric",
     "PhysicalNic",
     "Registers",

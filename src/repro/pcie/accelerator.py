@@ -8,7 +8,9 @@ any host submit jobs through the CXL datapath.
 The model is deliberately job-structured: software posts 16 B job
 descriptors (input buffer, length; flags select the kernel), the device
 DMA-reads the input, computes for ``fixed_ns + bytes / throughput``, and
-DMA-writes the transformed output plus a completion entry.
+DMA-writes the transformed output plus a completion entry.  A result
+longer than its 4 KiB output slot completes with ``STATUS_ERROR`` and its
+size, and nothing is written.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ class Accelerator(QueuePairDevice):
     REG_JOB_DB = QueuePairDevice.REG_DB
     REG_JOB_RING = QueuePairDevice.REG_RING
     REG_OUT_BASE = 0x28   # where results are DMA-written
+    #: Bytes of one job's output slot at ``REG_OUT_BASE``.
+    OUT_SLOT_BYTES = 4096
 
     ENTRY_NAME = "job"
 
@@ -65,13 +69,17 @@ class Accelerator(QueuePairDevice):
         yield self.sim.timeout(spec.fixed_ns
                                + desc.length / spec.throughput_gbps)
         result = self._run_kernel(desc.flags, data)
+        if len(result) > self.OUT_SLOT_BYTES:
+            # No room in the output slot: report the size, write nothing.
+            return CompletionEntry.STATUS_ERROR, len(result), None
         return CompletionEntry.STATUS_OK, len(result), result
 
-    def _write_output(self, index: int, result: bytes):
+    def _write_output(self, index: int, result):
         out_base = self.bar.regs[self.REG_OUT_BASE]
-        if out_base:
-            out_addr = out_base + (index % self.spec.n_desc) * 4096
-            yield from self.dma_write(out_addr, result[:4096])
+        if out_base and result is not None:
+            out_addr = (out_base
+                        + (index % self.spec.n_desc) * self.OUT_SLOT_BYTES)
+            yield from self.dma_write(out_addr, result)
 
     @staticmethod
     def _run_kernel(kind: int, data: bytes) -> bytes:

@@ -51,10 +51,9 @@ class EthernetFrame:
 class EthernetSwitch:
     """A single switch all NICs in an experiment plug into."""
 
-    def __init__(self, sim: Simulator, forward_latency_ns: float = 500.0,
-                 name: str = "eth-switch"):
+    def __init__(self, sim: Simulator, name: str = "eth-switch"):
         self.sim = sim
-        self.forward_latency_ns = forward_latency_ns
+        self.forward_latency_ns = 500.0
         self.name = name
         self._ports: dict[int, "Nic"] = {}
         self.frames_forwarded = 0

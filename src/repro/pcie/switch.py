@@ -1,21 +1,18 @@
 """Hardware PCIe switch baseline: the incumbent the paper argues against.
 
-Two pieces:
-
-* :class:`PcieSwitchFabric` — a behavioural model: any connected host can
-  be bound to any connected device, with MMIO/DMA crossing the switch and
-  paying its forwarding latency.  Routable-PCIe measurements (Hou et al.,
-  NSDI'24) show roughly 100-150 ns added latency per switch hop; the
-  functional capability is equivalent to the CXL design, which is exactly
-  the paper's point — the *costs* differ, not what pooling can do.
-* :class:`PcieSwitchCostModel` — the dollars: switches, host adapters,
-  cabling, and redundant units, totalling ≈$80k/rack versus ≈$600/host
-  for an MHD-based CXL pod (§1, §3).
+:class:`PcieSwitchFabric` is a behavioural model: any connected host can
+be bound to any connected device, with MMIO/DMA crossing the switch and
+paying its forwarding latency.  Routable-PCIe measurements (Hou et al.,
+NSDI'24) show roughly 100-150 ns added latency per switch hop; the
+functional capability is equivalent to the CXL design, which is exactly
+the paper's point — the *costs* differ, not what pooling can do.  The
+dollars (≈$80k/rack of switches, adapters and cables versus ≈$600/host
+for an MHD-based CXL pod, §1, §3) are
+:class:`repro.analysis.costs.PcieSwitchCost` and
+:class:`~repro.analysis.costs.CxlPodCost`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.pcie.device import PcieDevice
 from repro.sim import Simulator
@@ -83,51 +80,3 @@ class PcieSwitchFabric:
                 f"device {device_id} is bound to {bound!r}, "
                 f"not {host_id!r}"
             )
-
-
-@dataclass(frozen=True)
-class PcieSwitchCostModel:
-    """Rack-level BOM for PCIe-switch pooling (from vendor pricing, §1)."""
-
-    switch_unit_usd: float = 25_000.0
-    switch_software_usd: float = 15_000.0
-    host_adapter_usd: float = 850.0
-    cable_usd: float = 120.0
-    redundant_switches: int = 2
-
-    def rack_cost(self, n_hosts: int = 32) -> float:
-        """Total cost to pool PCIe devices across ``n_hosts``."""
-        switches = self.redundant_switches * (
-            self.switch_unit_usd + self.switch_software_usd
-        )
-        per_host = n_hosts * (self.host_adapter_usd + self.cable_usd)
-        return switches + per_host
-
-    def per_host_cost(self, n_hosts: int = 32) -> float:
-        return self.rack_cost(n_hosts) / n_hosts
-
-
-@dataclass(frozen=True)
-class CxlPodCostModel:
-    """Incremental cost of PCIe pooling on a CXL pod.
-
-    The pod itself (~$600/host, Octopus-style switchless construction) is
-    paid for by the *memory pooling* business case; PCIe pooling reuses
-    that hardware, so its marginal hardware cost is zero — the paper's
-    "no extra cost" claim.  We still expose the pod cost for the
-    comparison where a pod is deployed solely for PCIe pooling.
-    """
-
-    pod_cost_per_host_usd: float = 600.0
-    #: True when the pod already exists for memory pooling.
-    pod_already_deployed: bool = True
-
-    def rack_cost(self, n_hosts: int = 32) -> float:
-        if self.pod_already_deployed:
-            return 0.0
-        return n_hosts * self.pod_cost_per_host_usd
-
-    def per_host_cost(self, n_hosts: int = 32) -> float:
-        if n_hosts == 0:
-            return 0.0
-        return self.rack_cost(n_hosts) / n_hosts

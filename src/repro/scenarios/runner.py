@@ -638,10 +638,6 @@ class MatrixResult:
     def ok(self) -> bool:
         return all(cell.ok for cell in self.cells)
 
-    @property
-    def failed_cells(self) -> list:
-        return [cell for cell in self.cells if not cell.ok]
-
     def to_dict(self) -> dict:
         return {"runbook": self.runbook, "description": self.description,
                 "ok": self.ok,

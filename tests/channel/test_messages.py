@@ -3,7 +3,6 @@
 import pytest
 
 from repro.channel.messages import (
-    AssignDevice,
     AssignmentReport,
     Completion,
     DeviceAnnounce,
@@ -14,7 +13,6 @@ from repro.channel.messages import (
     LeaseGrant,
     LeaseRenew,
     LoadReport,
-    Migrate,
     MmioRead,
     MmioReadReply,
     MmioWrite,
@@ -35,8 +33,6 @@ ALL_MESSAGES = [
     LoadReport(request_id=2, device_id=1, utilization_permille=750,
                queue_depth=12, epoch=3),
     DeviceFailure(request_id=3, device_id=1, reason=2, epoch=3),
-    AssignDevice(request_id=4, virtual_id=0, device_id=5),
-    Migrate(request_id=5, from_device=1, to_device=2),
     Resync(request_id=6, epoch=4),
     DeviceAnnounce(request_id=7, device_id=2, kind_code=1, healthy=1,
                    epoch=4),

@@ -3,7 +3,6 @@
 from repro.channel.messages import (
     Completion,
     Doorbell,
-    Heartbeat,
     MmioRead,
     MmioReadReply,
     MmioWrite,
@@ -114,25 +113,6 @@ def test_fire_and_forget_send_handled():
     p = sim.spawn(caller(sim))
     sim.run(until=p)
     assert seen == [42]
-    client.close()
-    server.close()
-    sim.run()
-
-
-def test_default_handler_catches_unregistered_types():
-    sim, client, server = make_pair()
-    fallback = []
-    server.on_any(lambda msg: fallback.append(type(msg).__name__))
-
-    def caller(sim):
-        yield from client.send(
-            Heartbeat(request_id=0, timestamp_us=1, healthy=1)
-        )
-        yield sim.timeout(10_000.0)
-
-    p = sim.spawn(caller(sim))
-    sim.run(until=p)
-    assert fallback == ["Heartbeat"]
     client.close()
     server.close()
     sim.run()

@@ -62,14 +62,14 @@ def test_concurrency_speeds_up_bursts():
             if concurrent:
                 jobs = [
                     sim.spawn(client.run_job(KERNEL_FHE_MULT,
-                                             bytes(16 << 10)))
+                                             bytes(4 << 10)))
                     for _ in range(8)
                 ]
                 yield AllOf(sim, jobs)
             else:
                 for _ in range(8):
                     yield from client.run_job(KERNEL_FHE_MULT,
-                                              bytes(16 << 10))
+                                              bytes(4 << 10))
             return sim.now - t0
 
         p = sim.spawn(main())

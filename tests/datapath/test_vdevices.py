@@ -10,7 +10,11 @@ from repro.cxl.pod import CxlPod, PodConfig
 from repro.datapath.proxy import DeviceServer, RemoteDeviceHandle
 from repro.datapath.vaccel import RemoteAcceleratorClient
 from repro.datapath.vssd import RemoteSsdClient
-from repro.pcie.accelerator import KERNEL_COMPRESS, Accelerator
+from repro.pcie.accelerator import (
+    KERNEL_COMPRESS,
+    KERNEL_FHE_MULT,
+    Accelerator,
+)
 from repro.pcie.ssd import Ssd
 from repro.sim import Simulator
 
@@ -116,6 +120,38 @@ def test_remote_accelerator_compression(pod3):
     sim.run(until=p)
     assert zlib.decompress(p.value) == data
     assert accel.jobs_completed == 1
+    accel.stop()
+    for ep in eps:
+        ep.close()
+    sim.run()
+
+
+def test_result_longer_than_its_output_slot_raises(pod3):
+    # An FHE result is as long as its input: 8 KiB overflows the 4 KiB
+    # output slot, so the job fails and writes nothing rather than
+    # returning a 4,096-byte prefix.  A full slot still fits.
+    sim, pod = pod3
+    accel = Accelerator(sim, "accel0", device_id=20)
+    accel.attach(pod.host("h0"))
+    accel.start()
+    handle, _server, eps = wire_remote(sim, pod, accel, "h0", "h2")
+    client = RemoteAcceleratorClient(sim, pod.host("h2"), handle, pod, "h0")
+
+    def proc():
+        yield from client.setup()
+        with pytest.raises(IOError, match="result 8192 B") as exc:
+            yield from client.run_job(KERNEL_FHE_MULT, bytes(8192))
+        slot0 = yield from client.mem.read(client.out_base, 4096)
+        fits = yield from client.run_job(KERNEL_FHE_MULT, bytes(4096))
+        return str(exc.value), slot0, fits
+
+    p = sim.spawn(proc())
+    sim.run(until=p)
+    error, slot0, fits = p.value
+    assert "output slot 4096 B" in error
+    assert slot0 == bytes(4096)
+    assert fits == bytes([7]) * 4096
+    assert accel.jobs_completed == 2
     accel.stop()
     for ep in eps:
         ep.close()

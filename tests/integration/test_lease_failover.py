@@ -130,13 +130,3 @@ def test_partitioned_owner_self_fences_before_successor_serves():
     assert lease_stats["proxy.fenced_ops"] >= 1
     pool.stop()
 
-
-def test_failover_trace_scenario_reports_clean():
-    """The CLI `repro trace failover` scenario is the user-facing proof;
-    keep it green from the test suite too."""
-    from repro.cli import _run_failover_scenario
-
-    stats = _run_failover_scenario(seed=7, n_ios=6)
-    assert stats["completed"] == stats["submitted"] == 6
-    assert stats["failovers"] == 1
-    assert stats["invariant_violations"] == 0

@@ -1,13 +1,10 @@
-"""PCIe switch baseline tests: binding semantics and cost model."""
+"""PCIe switch baseline tests: binding semantics (its dollars are in
+tests/analysis/test_costs.py)."""
 
 import pytest
 
 from repro.pcie.device import PcieDevice
-from repro.pcie.switch import (
-    CxlPodCostModel,
-    PcieSwitchCostModel,
-    PcieSwitchFabric,
-)
+from repro.pcie.switch import PcieSwitchFabric
 from repro.sim import Simulator
 
 
@@ -78,21 +75,3 @@ def test_bind_unknown_entities_rejected():
         fabric.bind(99, "h0")
     with pytest.raises(KeyError):
         fabric.bind(1, "h99")
-
-
-def test_switch_rack_cost_is_about_80k():
-    model = PcieSwitchCostModel()
-    cost = model.rack_cost(n_hosts=32)
-    # The paper cites "easily reaches $80,000" for a rack.
-    assert 70_000 <= cost <= 120_000
-
-
-def test_cxl_pod_marginal_cost_is_zero_when_deployed():
-    model = CxlPodCostModel(pod_already_deployed=True)
-    assert model.rack_cost(32) == 0.0
-
-
-def test_cxl_pod_standalone_still_far_cheaper_than_switch():
-    pod = CxlPodCostModel(pod_already_deployed=False)
-    switch = PcieSwitchCostModel()
-    assert pod.rack_cost(32) < switch.rack_cost(32) / 3

@@ -90,11 +90,12 @@ def test_trace_fig4_emits_valid_chrome_json(capsys, tmp_path):
 
 
 def test_trace_doorbell_shows_poison_recovery(capsys, tmp_path):
+    # The chaos runbook's first cell: forwarded doorbells on borrowed
+    # NICs, a poisoned ring slot detected, skipped and retransmitted.
     out_path = tmp_path / "trace.json"
-    rc, out = run_cli(capsys, "trace", "doorbell", "--out", str(out_path))
+    rc, out = run_cli(capsys, "trace", "chaos", "--out", str(out_path))
     assert rc == 0
-    assert "poison_hits=1" in out
-    assert "rpc_retries=1" in out
+    assert "chaos/lambda=1/seed=11: every auditor and expect passes" in out
     import json
     names = {ev["name"]
              for ev in json.loads(out_path.read_text())["traceEvents"]}
@@ -103,26 +104,42 @@ def test_trace_doorbell_shows_poison_recovery(capsys, tmp_path):
 
 
 def test_trace_failover_single_trace_spans_owner_handover(capsys, tmp_path):
+    # The lease cell kills the SSD's owner mid-stream; its expects and
+    # auditors gate exactly-once completion, the failover and fencing.
     out_path = tmp_path / "trace.json"
-    rc, out = run_cli(capsys, "trace", "failover", "--out", str(out_path))
+    rc, out = run_cli(capsys, "trace", "lease", "--out", str(out_path))
     assert rc == 0
-    assert "completed=6/6" in out
-    assert "invariant_violations=0" in out
+    assert "lease/seed=17: every auditor and expect passes" in out
     import json
     evs = json.loads(out_path.read_text())["traceEvents"]
     writes = [ev for ev in evs
               if ev.get("ph") == "X" and ev["name"].startswith("vssd.write")]
-    # One write straddles the lease lapse (~35 ms) instead of the ~20 µs
-    # fast path: it started on the dying owner and finished after failover.
+    # One write straddles the owner's death (~28 ms) instead of the
+    # ~20 µs fast path: it started on one owner and finished on another.
     long_write = max(writes, key=lambda ev: ev["dur"])
     assert long_write["dur"] > 10_000.0  # µs
     trace_id = long_write["args"]["trace"]
     handlers = {ev["pid"] for ev in evs
                 if ev.get("args", {}).get("trace") == trace_id
                 and ev["name"] == "rpc.handle:Doorbell"}
-    # The same trace id reaches Doorbell handlers on two different hosts:
-    # the original owner and the successor that replayed the op.
+    # The same trace id reaches Doorbell handlers on two different hosts.
     assert len(handlers) == 2
+
+
+def test_trace_runs_the_named_cell(capsys, tmp_path):
+    out_path = tmp_path / "trace.json"
+    rc, out = run_cli(capsys, "trace", "overload/load=3x/seed=17",
+                      "--out", str(out_path))
+    assert rc == 0
+    assert "overload/load=3x/seed=17: every auditor and expect passes" in out
+
+
+def test_unknown_cell_exits_nonzero_and_lists_cells(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", "lease/seed=99"])
+    message = str(exc.value)
+    assert "no cell 'seed=99'" in message
+    assert "seed=17, seed=29, seed=43, seed=61" in message
 
 
 def test_attribute_fig4_reconciles_and_writes_json(capsys, tmp_path):
@@ -147,7 +164,8 @@ def test_attribute_fig4_reconciles_and_writes_json(capsys, tmp_path):
 def test_attribute_overload_surfaces_admission_wait(capsys):
     rc, out = run_cli(capsys, "attribute", "overload")
     assert rc == 0
-    assert "admission" in out
+    assert "overload/load=2x/seed=17: every auditor" in out
+    assert "admission" in out and "5697 ops" in out
     assert "reconciliation error 0.0000%" in out
 
 
@@ -157,7 +175,7 @@ def test_profile_writes_valid_bench_doc(capsys, tmp_path):
     from repro.sim.profile import validate_bench_doc
 
     out_path = tmp_path / "BENCH_simcore.json"
-    rc, out = run_cli(capsys, "profile", "--messages", "300", "--no-pool",
+    rc, out = run_cli(capsys, "profile", "--messages", "300",
                       "--out", str(out_path))
     assert rc == 0
     assert "events/s" in out
@@ -168,7 +186,7 @@ def test_profile_writes_valid_bench_doc(capsys, tmp_path):
 
 
 def test_metrics_preregisters_new_series_at_zero(capsys):
-    rc, out = run_cli(capsys, "metrics", "--messages", "100", "--no-pool")
+    rc, out = run_cli(capsys, "metrics", "--messages", "100")
     assert rc == 0
     assert "attr_ops 0" in out
     assert "flight_records 0" in out
@@ -182,18 +200,21 @@ def test_metrics_preregisters_new_series_at_zero(capsys):
 
 
 def test_metrics_reports_latency_and_ras(capsys):
-    rc, out = run_cli(capsys, "metrics", "--messages", "200")
+    # One dump holds the ping-pong's latency and the chaos cell's RAS.
+    rc, out = run_cli(capsys, "metrics", "--messages", "200",
+                      "fig4", "chaos")
     assert rc == 0
     assert "# TYPE ring_one_way_ns histogram" in out
     assert 'ring_one_way_ns{quantile="0.50"}' in out
-    assert "ras_poisons_injected 1" in out
+    assert 'ring_one_way_ns{quantile="0.99"}' in out
+    assert "ras_poisons_injected 2" in out
     assert "# TYPE rpc_retries gauge" in out
 
 
 def test_metrics_no_pool_writes_file(capsys, tmp_path):
     out_path = tmp_path / "metrics.prom"
     rc, out = run_cli(capsys, "metrics", "--messages", "100",
-                      "--no-pool", "--out", str(out_path))
+                      "--out", str(out_path))
     assert rc == 0
     text = out_path.read_text()
     assert "ring_one_way_ns_count 100" in text
@@ -207,11 +228,12 @@ def test_scenario_list_names_runbooks(capsys):
     assert "lambda=2/seed=11" in out
 
 
-def test_scenario_run_runbook_file(capsys, tmp_path):
+def tiny_runbook(tmp_path, name, ok_ops):
+    """A one-cell runbook of five vSSD writes expecting ``ok_ops`` ok."""
     import json
 
     doc = {
-        "name": "cli-tiny",
+        "name": name,
         "description": "cli smoke",
         "seeds": [5],
         "base": {
@@ -224,11 +246,18 @@ def test_scenario_run_runbook_file(capsys, tmp_path):
                 "device_flaps": 0, "link_flaps": 0, "agent_crashes": 0,
                 "orchestrator_restarts": 0, "mhd_degrades": 0,
                 "mem_poisons": 0}},
-            "expect": {"w0.vssd.ok": ["==", 5]},
+            "expect": {"w0.vssd.ok": ["==", ok_ops]},
         },
     }
-    rb_path = tmp_path / "tiny.json"
-    rb_path.write_text(json.dumps(doc))
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_scenario_run_runbook_file(capsys, tmp_path):
+    import json
+
+    rb_path = tiny_runbook(tmp_path, "cli-tiny", 5)
     out_path = tmp_path / "matrix.json"
     table_path = tmp_path / "matrix.md"
     rc, out = run_cli(capsys, "scenario", "run", str(rb_path),
@@ -241,30 +270,24 @@ def test_scenario_run_runbook_file(capsys, tmp_path):
 
 
 def test_scenario_run_failure_exits_nonzero(capsys, tmp_path):
-    import json
-
-    doc = {
-        "name": "cli-fail",
-        "description": "cli failure smoke",
-        "seeds": [5],
-        "base": {
-            "duration_ns": 100e6,
-            "pod": {"n_hosts": 3, "n_mhds": 2,
-                    "devices": [{"kind": "ssd", "owner": "h0"}]},
-            "workloads": [{"driver": "vssd", "host": "h2", "ops": 5,
-                           "gap_ns": 1e6}],
-            "campaign": {"config": {
-                "device_flaps": 0, "link_flaps": 0, "agent_crashes": 0,
-                "orchestrator_restarts": 0, "mhd_degrades": 0,
-                "mem_poisons": 0}},
-            "expect": {"w0.vssd.ok": ["==", 6]},
-        },
-    }
-    rb_path = tmp_path / "fail.json"
-    rb_path.write_text(json.dumps(doc))
+    rb_path = tiny_runbook(tmp_path, "cli-fail", 6)
     with pytest.raises(SystemExit):
         main(["scenario", "run", str(rb_path)])
     err = capsys.readouterr().err
     assert "w0.vssd.ok" in err
+    from repro.scenarios.runner import consume_failed_cells
+    consume_failed_cells()
+
+
+def test_inspect_runs_a_runbook_file_and_fails_a_failing_cell(capsys,
+                                                               tmp_path):
+    rc, out = run_cli(capsys, "trace", str(tiny_runbook(tmp_path,
+                                                        "cli-tiny", 5)),
+                      "--out", str(tmp_path / "trace.json"))
+    assert rc == 0
+    assert "cli-tiny/seed=5: every auditor and expect passes" in out
+    with pytest.raises(SystemExit):
+        main(["attribute", str(tiny_runbook(tmp_path, "cli-fail", 6))])
+    assert "FAIL seed=5: expect w0.vssd.ok == 6" in capsys.readouterr().err
     from repro.scenarios.runner import consume_failed_cells
     consume_failed_cells()
