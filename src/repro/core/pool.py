@@ -107,7 +107,9 @@ class PciePool:
         self._next_device_id = 1
         self._next_mac = 0x02_00_00_00_00_01
         self._started = False
-        self._vnics: list[VirtualNic] = []
+        #: Every borrowed device's driver by virtual id: a VirtualNic, or
+        #: a vSSD/vaccel client.  Each carries its current ``assignment``.
+        self._borrowed: dict[int, object] = {}
         #: Per-borrower-host op-id counters.  One DeviceServer serves
         #: exactly one borrower host, so host-unique ids are journal-safe
         #: even when a handle is re-resolved onto a different owner.
@@ -115,9 +117,6 @@ class PciePool:
         #: Hosts currently under an administrative control partition
         #: (re-applied when a control channel is rebuilt mid-partition).
         self._partitioned_hosts: set[str] = set()
-        #: Datapath clients (vssd/vaccel) rebuilt on migration:
-        #: virtual_id -> client with a ``failover(new_handle)`` process.
-        self._failover_clients: dict[int, object] = {}
         # Memory RAS: MHD liveness probing + channel re-establishment.
         # The probe cadence must be well under the heartbeat timeout so a
         # dead MHD's control channels are rebuilt before stale heartbeats
@@ -296,8 +295,9 @@ class PciePool:
         self._brownout_proc = None
         for agent in self.agents.values():
             agent.stop()
-        for vnic in self._vnics:
-            vnic._teardown()
+        for driver in self._borrowed.values():
+            if isinstance(driver, VirtualNic):
+                driver._teardown()
         for device in self._devices.values():
             if hasattr(device, "stop"):
                 device.stop()
@@ -409,11 +409,11 @@ class PciePool:
 
     # -- virtual NICs ------------------------------------------------------------------
 
-    def open_nic(self, host_id: str, n_desc: int = 64) -> "VirtualNic":
+    def open_nic(self, host_id: str) -> "VirtualNic":
         """Allocate a NIC (local-first, else pooled) and build its stack."""
         assignment = self.orchestrator.request_device(host_id, KIND_NIC)
-        vnic = VirtualNic(self, assignment, n_desc=n_desc)
-        self._vnics.append(vnic)
+        vnic = VirtualNic(self, assignment)
+        self._borrowed[assignment.virtual_id] = vnic
         return vnic
 
     def open_ssd(self, host_id: str, **kwargs) -> RemoteSsdClient:
@@ -436,7 +436,8 @@ class PciePool:
             self.handle_for(host_id, assignment.device_id), self.pod,
             owner_host=self.owner_of(assignment.device_id), **kwargs,
         )
-        self.attach_failover_client(assignment.virtual_id, client)
+        client.assignment = assignment
+        self._borrowed[assignment.virtual_id] = client
         return client
 
     def open_accelerator(self, host_id: str,
@@ -455,17 +456,9 @@ class PciePool:
             self.handle_for(host_id, assignment.device_id), self.pod,
             owner_host=self.owner_of(assignment.device_id), **kwargs,
         )
-        self.attach_failover_client(assignment.virtual_id, client)
+        client.assignment = assignment
+        self._borrowed[assignment.virtual_id] = client
         return client
-
-    def attach_failover_client(self, virtual_id: int, client) -> None:
-        """Have migrations of ``virtual_id`` drive ``client.failover``.
-
-        The client must expose a ``failover(new_handle)`` process; the
-        pool spawns it with a freshly-resolved handle each time the
-        orchestrator rebinds the assignment to a different device.
-        """
-        self._failover_clients[virtual_id] = client
 
     def _on_migration(self, assignment: Assignment,
                       old_device_id: Optional[int]) -> None:
@@ -478,21 +471,29 @@ class PciePool:
                 assignment.kind, assignment.generation,
             )
         if old_device_id is None:
-            return  # initial bind; open_nic builds the first stack itself
-        for vnic in self._vnics:
-            if vnic.assignment.virtual_id == assignment.virtual_id:
-                # After an orchestrator restart the table holds fresh
-                # Assignment objects; re-point the vnic before rebinding.
-                vnic.assignment = assignment
-                vnic._rebind()
-        client = self._failover_clients.get(assignment.virtual_id)
-        if client is not None:
-            handle = self.handle_for(assignment.borrower_host,
-                                     assignment.device_id)
-            self.sim.spawn(
-                client.failover(handle),
-                name=f"client-failover:v{assignment.virtual_id}",
-            )
+            return  # initial bind; the open_* call builds the driver
+        driver = self._borrowed.get(assignment.virtual_id)
+        if driver is not None:
+            # After an orchestrator restart the table holds fresh
+            # Assignment objects; re-point the driver before rehoming.
+            driver.assignment = assignment
+            self._rehome(driver, "failover")
+
+    def _rehome(self, driver, why: str) -> None:
+        """Rebuild ``driver`` on its assignment's device.
+
+        A vNIC rebuilds its stack at once; a vSSD/vaccel client runs its
+        ``failover`` process with a freshly resolved handle (named
+        ``client-<why>:v<id>``).
+        """
+        if isinstance(driver, VirtualNic):
+            driver._rebind()
+            return
+        assignment = driver.assignment
+        handle = self.handle_for(assignment.borrower_host,
+                                 assignment.device_id)
+        self.sim.spawn(driver.failover(handle),
+                       name=f"client-{why}:v{assignment.virtual_id}")
 
     # -- fault injection & recovery (driven by repro.faults) -----------------
 
@@ -508,8 +509,8 @@ class PciePool:
         for device_id, owner in sorted(self._owners.items()):
             if owner == host_id:
                 agent.manage(self._devices[device_id])
-        for vnic in self._vnics:
-            a = vnic.assignment
+        for virtual_id in sorted(self._borrowed):
+            a = self._borrowed[virtual_id].assignment
             if a.borrower_host == host_id:
                 agent.adopt_assignment(a.virtual_id, a.device_id, a.kind,
                                        a.generation)
@@ -816,9 +817,8 @@ class PciePool:
         """Re-establish everything that lived on a crashed MHD.
 
         Control channels are rebuilt in place (the agent swaps endpoints
-        and resumes heartbeats); device channels are torn down and lazily
-        recreated by the vNIC rebinds; vNICs whose rings or buffers
-        touched the dead device are rebuilt on healthy media.  In-flight
+        and resumes heartbeats); device channels are torn down and
+        lazily recreated when the drivers over them are rehomed.  In-flight
         RPCs on dead channels are recovered end-to-end: every control and
         datapath caller retransmits idempotent requests with fresh ids.
         """
@@ -828,7 +828,6 @@ class PciePool:
         for host_id in sorted(self._ctl):
             if on_dead_mhd(self._ctl[host_id]):
                 self._rebuild_ctl_channel(host_id)
-        rebind_vnics: dict[int, VirtualNic] = {}
         torn_down: set[tuple[str, str]] = set()
         for (owner, borrower), path in sorted(self._paths.items()):
             ends = (path.owner_ep, path.borrower_ep)
@@ -838,34 +837,20 @@ class PciePool:
             del self._paths[(owner, borrower)]
             self.channels_rebuilt += 1
             torn_down.add((owner, borrower))
-            for vnic in self._vnics:
-                if (vnic.host_id == borrower
-                        and self.owner_of(vnic.device_id) == owner):
-                    rebind_vnics[vnic.assignment.virtual_id] = vnic
-        # Buffers: any vNIC whose driver memory striped over the dead MHD
-        # must re-place its rings and payload buffers on healthy media.
-        for vnic in self._vnics:
-            if vnic._mem is not None and dead_mhd in vnic._mem.mhd_footprint():
-                rebind_vnics[vnic.assignment.virtual_id] = vnic
-        for virtual_id in sorted(rebind_vnics):
-            rebind_vnics[virtual_id]._rebind()
-        # Datapath clients (vssd/vaccel) wired over a torn-down channel
-        # hold a dead endpoint: refresh() alone cannot revive it, so
-        # every op would ride the timeout->failover loop forever.  Drive
-        # their failover with a freshly resolved handle — handle_for
-        # lazily rebuilds the channel on healthy (non-avoided) media.
-        for virtual_id in sorted(self._failover_clients):
-            client = self._failover_clients[virtual_id]
-            device_id = client.handle.device_id
-            owner = self.owner_of(device_id)
-            borrower = client.memsys.host_id
-            if owner is None or (owner, borrower) not in torn_down:
-                continue
-            handle = self.handle_for(borrower, device_id)
-            self.sim.spawn(
-                client.failover(handle),
-                name=f"client-rehome:v{virtual_id}",
-            )
+        for _virtual_id, driver in sorted(self._borrowed.items()):
+            a = driver.assignment
+            # A driver over a torn-down channel holds a dead endpoint
+            # that refresh() cannot revive; rehoming resolves a fresh
+            # handle, and handle_for rebuilds the channel on healthy
+            # media.  A vNIC whose driver memory touched the dead MHD is
+            # rebuilt too: it replays unfinished frames from its own TX
+            # journal.  A client is not: its failover re-posts entries
+            # that point at its old buffers.
+            if ((self._owners[a.device_id], a.borrower_host) in torn_down
+                    or (isinstance(driver, VirtualNic)
+                        and driver._mem is not None
+                        and dead_mhd in driver._mem.mhd_footprint())):
+                self._rehome(driver, "rehome")
 
     def _rebuild_ctl_channel(self, host_id: str) -> None:
         """Re-pair one agent's control channel on healthy media."""
@@ -977,7 +962,7 @@ class PciePool:
     def __repr__(self) -> str:
         return (
             f"<PciePool hosts={len(self.pod.hosts)} "
-            f"devices={len(self._devices)} vnics={len(self._vnics)}>"
+            f"devices={len(self._devices)} borrowed={len(self._borrowed)}>"
         )
 
 
@@ -991,11 +976,9 @@ class VirtualNic:
     application can re-bind its sockets.
     """
 
-    def __init__(self, pool: PciePool, assignment: Assignment,
-                 n_desc: int = 64):
+    def __init__(self, pool: PciePool, assignment: Assignment):
         self.pool = pool
         self.assignment = assignment
-        self.n_desc = n_desc
         self.stack: Optional[UdpStack] = None
         self.generation = 0
         self.start_failures = 0
@@ -1034,8 +1017,7 @@ class VirtualNic:
         agent = self.pool.agents.get(self.host_id)
         if agent is not None:
             agent.abandon_assignment(self.assignment.virtual_id)
-        if self in self.pool._vnics:
-            self.pool._vnics.remove(self)
+        self.pool._borrowed.pop(self.assignment.virtual_id, None)
 
     # -- internals ---------------------------------------------------------------
 
@@ -1044,9 +1026,6 @@ class VirtualNic:
         device = pool.device(self.device_id)
         owner = pool.owner_of(self.device_id)
         handle = pool.handle_for(self.host_id, self.device_id)
-        # Ring geometry is dictated by the device: the driver's CQ seq
-        # tags and slot addressing must wrap exactly like the NIC's.
-        self.n_desc = device.spec.n_desc
         if owner == self.host_id:
             placement = BufferPlacement.LOCAL
             owners = [self.host_id]
@@ -1058,9 +1037,11 @@ class VirtualNic:
             owners=owners,
             label=f"vnic{self.assignment.virtual_id}.g{self.generation}",
         )
+        # Ring geometry is dictated by the device: the driver's CQ seq
+        # tags and slot addressing must wrap exactly like the NIC's.
         self.stack = UdpStack(
             pool.sim, pool.pod.host(self.host_id), handle, self._mem,
-            mac=device.mac, n_desc=self.n_desc,
+            mac=device.mac, n_desc=device.spec.n_desc,
             name=f"vnic{self.assignment.virtual_id}@{self.host_id}",
             tx_hint=device.tx_cq_hint, rx_hint=device.rx_cq_hint,
             budget=pool.budget_for(self.host_id),

@@ -22,17 +22,12 @@ import struct
 
 from repro.channel.rpc import RpcError
 from repro.cxl.link import LinkDownError
-from repro.cxl.params import (
-    FENCE_KICK_STREAK_LIMIT,
-    HEDGE_STREAK_LIMIT,
-    HEDGE_TX_DEADLINE_NS,
-    LINK_RETRY_POLL_NS,
-)
+from repro.cxl.params import HEDGE_TX_DEADLINE_NS, LINK_RETRY_POLL_NS
 from repro.datapath.placement import DriverMemory
 from repro.datapath.proxy import (
     DeviceGoneError,
     DeviceWithdrawnError,
-    FenceSignals,
+    DoorbellRecovery,
 )
 from repro.obs import names as _names
 from repro.obs import runtime as _obs
@@ -42,9 +37,10 @@ from repro.pcie.nic import Nic, RX_QUEUE, TX_QUEUE
 from repro.pcie.rings import (
     COMPLETION_BYTES,
     DESCRIPTOR_BYTES,
+    INDEX_SPACE,
     CompletionEntry,
     Descriptor,
-    seq_for_pass,
+    DescriptorRing,
 )
 from repro.sim import Interrupt, Resource, Store
 
@@ -78,20 +74,27 @@ class UdpSocket:
         self.stack._sockets.pop(self.port, None)
 
 
-class UdpStack:
+class UdpStack(DoorbellRecovery):
     """Userspace UDP over one NIC queue pair."""
 
+    KIND = "udp"
+    METRIC_FENCE_KICKS = _names.UDP_FENCE_KICKS
+    METRIC_HEDGES = _names.UDP_HEDGES
     #: Per-datagram software cost outside the memory system: protocol
     #: processing, scheduling, buffer management.  Calibrated so the
     #: end-to-end RTT matches a Junction-class kernel-bypass stack.
     SW_OVERHEAD_NS = 1800.0
     #: Re-read period of a hinted CQ entry that has not landed yet.
     POLL_NS = 100.0
+    #: Bytes of one TX or RX payload buffer (a jumbo frame and headers).
+    BUF_BYTES = 10240
+    #: CQ pollers and repost paths survive a link flap by backing off
+    #: ``LINK_RETRY_POLL_NS`` and retrying, up to this many times.
+    LINK_RETRY_LIMIT = 200
 
     def __init__(self, sim, memsys, handle, driver_mem: DriverMemory,
                  mac: int, tx_hint: Store, rx_hint: Store,
-                 n_desc: int = 64, buf_bytes: int = 10240,
-                 name: str = "udp-stack", budget=None):
+                 n_desc: int = 64, name: str = "udp-stack", budget=None):
         self.sim = sim
         #: Per-client-host retry budget (optional): TX hedges draw from
         #: it softly, failover resends drain it unconditionally, and
@@ -106,15 +109,18 @@ class UdpStack:
         self._tx_hint = tx_hint
         self._rx_hint = rx_hint
         self.n_desc = n_desc
-        self.buf_bytes = buf_bytes
         self.name = name
         # Memory layout.
         self.tx_ring = driver_mem.alloc(n_desc * DESCRIPTOR_BYTES, "tx-ring")
         self.rx_ring = driver_mem.alloc(n_desc * DESCRIPTOR_BYTES, "rx-ring")
         self.tx_cq = driver_mem.alloc(n_desc * COMPLETION_BYTES, "tx-cq")
         self.rx_cq = driver_mem.alloc(n_desc * COMPLETION_BYTES, "rx-cq")
-        self.tx_bufs = driver_mem.alloc(n_desc * buf_bytes, "tx-bufs")
-        self.rx_bufs = driver_mem.alloc(n_desc * buf_bytes, "rx-bufs")
+        self.tx_bufs = driver_mem.alloc(n_desc * self.BUF_BYTES, "tx-bufs")
+        self.rx_bufs = driver_mem.alloc(n_desc * self.BUF_BYTES, "rx-bufs")
+        self._tx_cq_ring = DescriptorRing(self.tx_cq, n_desc,
+                                          entry_bytes=COMPLETION_BYTES)
+        self._rx_cq_ring = DescriptorRing(self.rx_cq, n_desc,
+                                          entry_bytes=COMPLETION_BYTES)
         # Driver state.
         self._tx_tail = 0
         # Per-queue post lock: descriptors are 16 B (four share a
@@ -138,24 +144,15 @@ class UdpStack:
         # stack — zero lost, zero duplicated TX completions.
         self._tx_journal: dict[int, bytes] = {}
         self._tx_cq_head = 0
-        self._kick_pending = False
-        self._kick_streak = 0
         self._tx_progress_ns = 0.0
-        self._hedge_streak = 0
-        # Fault tolerance: CQ pollers and repost paths survive link flaps
-        # by backing off and retrying instead of dying.
-        self.fault_retry_ns = LINK_RETRY_POLL_NS
-        self.fault_retry_limit = 200
         # Telemetry.
         self.datagrams_sent = 0
         self.datagrams_received = 0
         self.datagrams_dropped_no_socket = 0
         self.datagrams_dropped_fault = 0
         self.datagrams_resent = 0
-        self.fence_kicks = 0
-        self.hedges = 0
         self.link_retries = 0
-        self._subscribe_fence_signals()
+        super().__init__()
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -244,10 +241,10 @@ class UdpStack:
         payloads = tuple(payloads)
         header_total = ETH_HEADER_BYTES + UDP_HEADER_BYTES
         for payload in payloads:
-            if header_total + len(payload) > self.buf_bytes:
+            if header_total + len(payload) > self.BUF_BYTES:
                 raise ValueError(
                     f"datagram of {len(payload)} B exceeds buffer size "
-                    f"{self.buf_bytes - header_total} B"
+                    f"{self.BUF_BYTES - header_total} B"
                 )
         if not payloads:
             return 0
@@ -255,8 +252,7 @@ class UdpStack:
         span = None
         if tracer.enabled:
             span = tracer.begin(
-                span_name, self.sim.now,
-                track=f"{self.memsys.host_id}/udp", cat="udp",
+                span_name, self.sim.now, track=self._track, cat="udp",
                 args={"n": len(payloads),
                       "bytes": sum(len(payload) for payload in payloads),
                       "dst_port": dst_port,
@@ -329,15 +325,15 @@ class UdpStack:
                     if not self._tx_journal:
                         # Hedge clock starts when work becomes pending.
                         self._tx_progress_ns = self.sim.now
-                    self._tx_journal[index % (1 << 16)] = frame
+                    self._tx_journal[index % INDEX_SPACE] = frame
                     journaled.append(index)
-                    buf = self.tx_bufs + slot * self.buf_bytes
+                    buf = self.tx_bufs + slot * self.BUF_BYTES
                     desc_addr = self.tx_ring + slot * DESCRIPTOR_BYTES
                     # The descriptor slot is reserved above, so the
                     # writes must be retried across a link flap:
                     # abandoning them would leave a garbage descriptor
                     # the NIC later fetches.
-                    for attempt in range(self.fault_retry_limit + 1):
+                    for attempt in range(self.LINK_RETRY_LIMIT + 1):
                         try:
                             yield from self.mem.write(buf, frame)
                             yield from self.mem.write(
@@ -346,17 +342,16 @@ class UdpStack:
                             )
                             break
                         except LinkDownError:
-                            if attempt >= self.fault_retry_limit:
+                            if attempt >= self.LINK_RETRY_LIMIT:
                                 raise
                             self.link_retries += 1
-                            yield self.sim.timeout(self.fault_retry_ns)
+                            yield self.sim.timeout(LINK_RETRY_POLL_NS)
                 yield from self.mem.fence()
                 if parent is not None and _obs.TRACER.enabled:
                     # DMA-visible point: descriptors published, doorbell
                     # about to ring — the span's tail is doorbell cost.
                     _obs.TRACER.instant(
-                        "udp.doorbell", self.sim.now,
-                        track=f"{self.memsys.host_id}/udp",
+                        "udp.doorbell", self.sim.now, track=self._track,
                         parent=parent, cat="udp",
                     )
                 yield from self.handle.ring_doorbell(TX_QUEUE, tail,
@@ -367,7 +362,7 @@ class UdpStack:
                 # failover replay them a second time.  The chunk's
                 # credits stay consumed with their reserved slots.
                 for index in journaled:
-                    self._tx_journal.pop(index % (1 << 16), None)
+                    self._tx_journal.pop(index % INDEX_SPACE, None)
                 raise
         self.datagrams_sent += len(chunk)
 
@@ -392,30 +387,29 @@ class UdpStack:
         every completion found here is a frame that must NOT be resent.
         """
         yield self.sim.timeout(2_000.0)  # let in-flight CQ writes land
+        cq = self._tx_cq_ring
         while self._tx_journal:
-            expect = seq_for_pass(self._tx_cq_head // self.n_desc)
-            addr = (self.tx_cq
-                    + (self._tx_cq_head % self.n_desc) * COMPLETION_BYTES)
+            head = self._tx_cq_head
             try:
-                raw = yield from self.mem.read(addr, COMPLETION_BYTES)
+                raw = yield from self.mem.read(cq.entry_addr(head),
+                                               COMPLETION_BYTES)
             except LinkDownError:
                 break
             entry = CompletionEntry.decode(raw)
-            if entry.seq != expect:
+            if entry.seq != cq.seq_of(head):
                 break
             self._tx_cq_head += 1
-            self._tx_journal.pop(entry.index % (1 << 16), None)
+            self._tx_journal.pop(entry.index % INDEX_SPACE, None)
 
     def _tx_cq_poller(self):
         try:
             while True:
                 entry = yield from self._poll_cq(
-                    self.tx_cq, self._tx_cq_head, self._tx_hint
+                    self._tx_cq_ring, self._tx_cq_head, self._tx_hint
                 )
                 self._tx_cq_head += 1
-                self._tx_journal.pop(entry.index % (1 << 16), None)
-                self._kick_streak = 0
-                self._hedge_streak = 0
+                self._tx_journal.pop(entry.index % INDEX_SPACE, None)
+                self._progressed()
                 self._tx_progress_ns = self.sim.now
                 if self.budget is not None:
                     self.budget.on_success()
@@ -424,106 +418,53 @@ class UdpStack:
         except Interrupt:
             return
 
-    # -- fence nacks (lease token rotated under a posted doorbell) ----------
+    # -- doorbell recovery (fence kicks, TX hedges) ---------------------------
 
-    def _subscribe_fence_signals(self) -> None:
-        endpoint = getattr(self.handle, "endpoint", None)
-        if endpoint is None:
-            return
-        FenceSignals.attach(endpoint).subscribe(
-            self.handle.device_id, self._on_fence_nack
-        )
-
-    def _on_fence_nack(self, msg) -> None:
-        if (msg.device_id != self.handle.device_id
-                or not self._started
-                or self._kick_pending
-                or self._kick_streak >= FENCE_KICK_STREAK_LIMIT):
-            return
-        self._kick_pending = True
-        self.sim.spawn(self._fence_kick(), name=f"{self.name}.kick")
-
-    def _fence_kick(self, delay_ns: float = 1_000_000.0):
-        """Process: re-ring both doorbells with a refreshed token —
-        recovers doorbells dropped while the same owner's lease token
-        rotated.  Bounded by ``_kick_streak`` (reset on TX completion);
-        a genuinely-moved NIC is rebuilt by the VirtualNic instead."""
+    def _rering(self):
+        """Process: refresh the token and re-ring both doorbells."""
         try:
-            yield self.sim.timeout(delay_ns)
-            if not self._started:
-                return
-            self._kick_streak += 1
-            self.fence_kicks += 1
-            _obs.METRICS.counter(_names.UDP_FENCE_KICKS).inc()
             self.handle.refresh()
             yield from self.handle.ring_doorbell(TX_QUEUE, self._tx_tail)
             yield from self.handle.ring_doorbell(RX_QUEUE, self._rx_tail)
         except (RpcError, LinkDownError, DeviceGoneError,
                 DeviceFailedError):
             pass
-        finally:
-            self._kick_pending = False
+
+    def _can_rering(self) -> bool:
+        # A stopped stack is rebuilt by the VirtualNic instead.
+        return self._started
 
     def _tx_hedge_watchdog(self):
         """Process: deadline-hedge a silent TX completion queue.
 
-        When frames sit journaled past the hedge deadline with no TX
-        completion progress, the owner is likely alive-but-slow (gray):
-        re-ring both doorbells with a refreshed token rather than wait
-        for the VirtualNic's full failover.  Streak-bounded like
-        ``_fence_kick`` (reset on any TX completion) so a dead owner
-        still falls through to the failover path.
-
-        TX completions silent for ``HEDGE_TX_DEADLINE_NS`` while frames
-        are journaled → re-ring both doorbells.  Doorbells are
-        max()-semantics and journaled frames are only resent through the
-        failover dedup path, so a hedge racing a slow-but-alive owner
-        cannot duplicate a datagram.
+        When frames sit journaled past ``HEDGE_TX_DEADLINE_NS`` with no
+        TX completion progress, the owner is likely alive-but-slow
+        (gray): re-ring both doorbells with a refreshed token
+        (:meth:`_hedge`) rather than wait for the VirtualNic's full
+        failover.  Doorbells are max()-semantics and journaled frames
+        are only resent through the failover dedup path, so a hedge
+        racing a slow-but-alive owner cannot duplicate a datagram.
         """
         try:
             while True:
                 yield self.sim.timeout(HEDGE_TX_DEADLINE_NS)
-                if (not self._started
-                        or not self._tx_journal
-                        or self._hedge_streak >= HEDGE_STREAK_LIMIT):
-                    continue
-                if (self.sim.now - self._tx_progress_ns
-                        <= HEDGE_TX_DEADLINE_NS):
-                    continue
-                if (self.budget is not None
-                        and not self.budget.try_spend_hedge(1.0)):
-                    continue  # budget low: hedges stand down first
-                self._hedge_streak += 1
-                self.hedges += 1
-                _obs.METRICS.counter(_names.UDP_HEDGES).inc()
-                # Root span (no parent): the attributor's udp.hedge
-                # residual rule bills its self time to the hedge phase.
-                hspan = _obs.TRACER.begin(
-                    "udp.hedge", self.sim.now,
-                    track=f"{self.memsys.host_id}/udp", cat="io",
-                    args={"journaled": len(self._tx_journal)},
-                )
-                try:
-                    self.handle.refresh()
-                    yield from self.handle.ring_doorbell(
-                        TX_QUEUE, self._tx_tail)
-                    yield from self.handle.ring_doorbell(
-                        RX_QUEUE, self._rx_tail)
-                except (RpcError, LinkDownError, DeviceGoneError,
-                        DeviceFailedError):
-                    pass
-                finally:
-                    _obs.TRACER.end(hspan, self.sim.now)
+                if (self._started and self._tx_journal
+                        and self.sim.now - self._tx_progress_ns
+                        > HEDGE_TX_DEADLINE_NS):
+                    # Root span (no parent): the attributor's udp.hedge
+                    # residual rule bills its self time to the hedge
+                    # phase.
+                    yield from self._hedge(journaled=len(self._tx_journal))
         except Interrupt:
             return
 
     # -- RX path --------------------------------------------------------------------------
 
     def _post_rx(self, slot: int):
-        buf = self.rx_bufs + slot * self.buf_bytes
+        buf = self.rx_bufs + slot * self.BUF_BYTES
         desc_addr = self.rx_ring + slot * DESCRIPTOR_BYTES
         yield from self.mem.write(
-            desc_addr, Descriptor(buf, self.buf_bytes).encode()
+            desc_addr, Descriptor(buf, self.BUF_BYTES).encode()
         )
         self._rx_tail += 1
 
@@ -532,7 +473,7 @@ class UdpStack:
         try:
             while True:
                 entry = yield from self._poll_cq(
-                    self.rx_cq, head, self._rx_hint
+                    self._rx_cq_ring, head, self._rx_hint
                 )
                 head += 1
                 # Deliveries run concurrently (multi-core stack): the
@@ -555,9 +496,8 @@ class UdpStack:
                 self.datagrams_dropped_fault += 1
                 if _obs.TRACER.enabled:
                     _obs.TRACER.instant(
-                        "udp.drop_fault", self.sim.now,
-                        track=f"{self.memsys.host_id}/udp", cat="udp",
-                        args={"slot": slot},
+                        "udp.drop_fault", self.sim.now, track=self._track,
+                        cat="udp", args={"slot": slot},
                     )
         # Recycle the buffer.  Reposted descriptors are bit-identical to
         # what the ring slot already holds, so concurrent reposts cannot
@@ -565,7 +505,7 @@ class UdpStack:
         # Retried across flaps: a leaked RX slot would slowly starve the
         # NIC of buffers.
         reposted = False
-        for _ in range(self.fault_retry_limit):
+        for _ in range(self.LINK_RETRY_LIMIT):
             try:
                 if not reposted:
                     yield from self._post_rx(slot)
@@ -583,7 +523,7 @@ class UdpStack:
             except (LinkDownError, RpcError, DeviceGoneError,
                     DeviceFailedError):
                 self.link_retries += 1
-                yield self.sim.timeout(self.fault_retry_ns)
+                yield self.sim.timeout(LINK_RETRY_POLL_NS)
         self.datagrams_dropped_fault += 1
 
     def _deliver(self, slot: int, length: int):
@@ -591,13 +531,12 @@ class UdpStack:
         span = None
         if tracer.enabled:
             span = tracer.begin(
-                "udp.deliver", self.sim.now,
-                track=f"{self.memsys.host_id}/udp", cat="udp",
+                "udp.deliver", self.sim.now, track=self._track, cat="udp",
                 args={"bytes": length, "slot": slot},
             )
         try:
             yield self.sim.timeout(self.SW_OVERHEAD_NS)
-            buf = self.rx_bufs + slot * self.buf_bytes
+            buf = self.rx_bufs + slot * self.BUF_BYTES
             raw = yield from self.mem.read(buf, length)
             frame = EthernetFrame.decode(raw)
             src_port, dst_port, payload_len = _UDP.unpack_from(
@@ -612,8 +551,7 @@ class UdpStack:
                 if tracer.enabled:
                     tracer.instant(
                         "udp.drop_no_socket", self.sim.now,
-                        track=f"{self.memsys.host_id}/udp",
-                        parent=span, cat="udp",
+                        track=self._track, parent=span, cat="udp",
                         args={"dst_port": dst_port},
                     )
                 return
@@ -625,9 +563,9 @@ class UdpStack:
 
     # -- shared CQ polling -------------------------------------------------------------------
 
-    def _poll_cq(self, cq_base: int, head: int, hint: Store):
-        expect = seq_for_pass(head // self.n_desc)
-        addr = cq_base + (head % self.n_desc) * COMPLETION_BYTES
+    def _poll_cq(self, cq: DescriptorRing, head: int, hint: Store):
+        expect = cq.seq_of(head)
+        addr = cq.entry_addr(head)
         # Hint-driven: sleep until a completion lands, then read it.
         # Observes the same memory state as a poller, minus the
         # simulated cost of idle poll iterations.
@@ -639,7 +577,7 @@ class UdpStack:
                 # CQ memory unreachable mid-flap: back off and re-poll
                 # rather than killing the poller (and with it the stack).
                 self.link_retries += 1
-                yield self.sim.timeout(self.fault_retry_ns)
+                yield self.sim.timeout(LINK_RETRY_POLL_NS)
                 continue
             entry = CompletionEntry.decode(raw)
             if entry.seq == expect:

@@ -1,4 +1,5 @@
-"""MMIO forwarding: device handles and the owning host's device server.
+"""MMIO forwarding: device handles, the owning host's device server and
+the doorbell recovery every borrower driver shares.
 
 A driver needs three device-memory verbs: configure a register, read a
 register, ring a doorbell.  :class:`LocalDeviceHandle` maps them straight
@@ -40,6 +41,8 @@ from repro.cxl.link import LinkDownError
 from repro.cxl.params import (
     ADMISSION_MAX_INFLIGHT,
     ADMISSION_RETRY_AFTER_NS,
+    FENCE_KICK_STREAK_LIMIT,
+    HEDGE_STREAK_LIMIT,
     JOURNAL_CAP_DEFAULT,
     OVERLOAD_RETRY_LIMIT,
 )
@@ -144,6 +147,102 @@ class FenceSignals:
     def _dispatch(self, msg: Fenced) -> None:
         for fn in list(self._subs.get(msg.device_id, ())):
             fn(msg)
+
+
+class DoorbellRecovery:
+    """Fence kicks and deadline hedges for a driver's forwarded doorbells.
+
+    Both re-ring the doorbells with a refreshed token (safe to repeat:
+    doorbells are max() and servers journal ops by id).  A fence kick
+    answers a :class:`Fenced` nack, the same owner having re-acquired the
+    lease under a new token; a hedge (:meth:`_hedge`) answers work silent
+    past the driver's deadline, an alive-but-slow owner.  Each is bounded
+    by a streak that progress resets (:meth:`_progressed`), so a device
+    that genuinely moved falls through to the driver's failover.  A
+    subclass sets ``sim``, ``memsys``, ``handle``, ``name`` and
+    ``budget``, calls this ``__init__``, and supplies the constants
+    below, :meth:`_rering` and :meth:`_can_rering`.
+    """
+
+    #: Driver kind: names the hedge span and the driver's trace track.
+    KIND: str
+    #: Counter names (``repro.obs.names``).
+    METRIC_FENCE_KICKS: str
+    METRIC_HEDGES: str
+    #: Wait between a fence nack and its kick.
+    FENCE_KICK_DELAY_NS = 1_000_000.0
+
+    def __init__(self):
+        self._track = f"{self.memsys.host_id}/{self.KIND}"
+        self._kick_pending = False
+        self._kick_streak = 0
+        self._hedge_streak = 0
+        self.fence_kicks = 0
+        self.hedges = 0
+        self._subscribe_fence_signals()
+
+    def _rering(self):
+        """Process: refresh the handle and re-ring the doorbells."""
+        raise NotImplementedError
+
+    def _can_rering(self) -> bool:
+        """Whether re-ringing now could recover anything."""
+        raise NotImplementedError
+
+    def _progressed(self) -> None:
+        """Work completed or the driver failed over: reset both streaks."""
+        self._kick_streak = 0
+        self._hedge_streak = 0
+
+    def _subscribe_fence_signals(self) -> None:
+        endpoint = getattr(self.handle, "endpoint", None)
+        if endpoint is None:
+            return
+        FenceSignals.attach(endpoint).subscribe(
+            self.handle.device_id, self._on_fence_nack
+        )
+
+    def _on_fence_nack(self, msg) -> None:
+        """A posted doorbell was fenced: the token rotated under us."""
+        if (msg.device_id != self.handle.device_id
+                or self._kick_pending
+                or not self._can_rering()
+                or self._kick_streak >= FENCE_KICK_STREAK_LIMIT):
+            return
+        self._kick_pending = True
+        self.sim.spawn(self._fence_kick(), name=f"{self.name}.kick")
+
+    def _fence_kick(self):
+        """Process: re-ring with a refreshed token after a fence nack."""
+        try:
+            yield self.sim.timeout(self.FENCE_KICK_DELAY_NS)
+            if not self._can_rering():
+                return
+            self._kick_streak += 1
+            self.fence_kicks += 1
+            _obs.METRICS.counter(self.METRIC_FENCE_KICKS).inc()
+            yield from self._rering()
+        finally:
+            self._kick_pending = False
+
+    def _hedge(self, parent=None, **args):
+        """Process: re-ring under a ``<KIND>.hedge`` span with ``args``,
+        unless the streak is spent or the retry budget refuses."""
+        if self._hedge_streak >= HEDGE_STREAK_LIMIT:
+            return  # hedges aren't landing; leave it to failover
+        if self.budget is not None and not self.budget.try_spend_hedge(1.0):
+            return  # budget low: hedges stand down first
+        self._hedge_streak += 1
+        self.hedges += 1
+        _obs.METRICS.counter(self.METRIC_HEDGES).inc()
+        span = _obs.TRACER.begin(
+            f"{self.KIND}.hedge", self.sim.now, track=self._track,
+            cat="io", parent=parent, args=args,
+        )
+        try:
+            yield from self._rering()
+        finally:
+            _obs.TRACER.end(span, self.sim.now)
 
 
 class RemoteDeviceHandle:

@@ -17,7 +17,8 @@ setup and their op methods.
   exposed to the device, or a fast second submitter could make the
   device fetch a slot its neighbour is still writing.
 * **Hedging.**  An op older than the hedge deadline but younger than the
-  op timeout has its doorbell re-rung with a refreshed token.
+  op timeout has its doorbell re-rung with a refreshed token
+  (:class:`~repro.datapath.proxy.DoorbellRecovery`).
 * **Failover (§4.2).**  When the owner host dies mid-I/O the client
   (a) harvests completions the dying owner already wrote — the CQ lives
   in pool memory, which outlives the owner — then (b) re-establishes
@@ -33,30 +34,27 @@ import dataclasses
 
 from repro.channel.rpc import RpcError
 from repro.cxl.link import LinkDownError
-from repro.cxl.params import (
-    FENCE_KICK_STREAK_LIMIT,
-    HEDGE_STREAK_LIMIT,
-    LINK_RETRY_POLL_NS,
-)
+from repro.cxl.params import LINK_RETRY_POLL_NS
 from repro.datapath.placement import BufferPlacement, DriverMemory
 from repro.datapath.proxy import (
     DeviceGoneError,
     DeviceWithdrawnError,
-    FenceSignals,
+    DoorbellRecovery,
 )
 from repro.obs import runtime as _obs
 from repro.obs.trace import add_phase_ns
-from repro.pcie.rings import COMPLETION_BYTES, CompletionEntry, seq_for_pass
+from repro.pcie.rings import (
+    COMPLETION_BYTES,
+    INDEX_SPACE,
+    CompletionEntry,
+    DescriptorRing,
+)
 from repro.sim.grid import on_grid
 
 #: What a lost doorbell or register access raises.  The ops stay
 #: journaled; the watchdog (or the pool's migration hook) recovers them
 #: on the successor.
 _TRANSPORT_ERRORS = (RpcError, LinkDownError, DeviceGoneError)
-
-#: Completion entries carry the submission index modulo this, so the
-#: journal is keyed the same way.
-_INDEX_SPACE = 1 << 16
 
 
 @dataclasses.dataclass
@@ -105,19 +103,18 @@ class _CqPark:
         self.cancel = cancel
 
 
-class PooledQueueClient:
+class PooledQueueClient(DoorbellRecovery):
     """Borrower-side driver for one pooled descriptor-ring device.
 
-    A subclass supplies the class constants below, :meth:`setup` (point
-    the device's ring registers at this generation's regions, then set
-    ``_configured``), the hooks :meth:`_alloc_regions`,
-    :meth:`_noop_entry` and optionally :meth:`_bind_output`, and its op
-    methods, built from :meth:`_pace_and_reserve`, :meth:`_submit` and
-    :meth:`_completion`.  A single op is a batch of one.
+    A subclass supplies the class constants below and those of
+    :class:`DoorbellRecovery`, :meth:`setup` (point the device's ring
+    registers at this generation's regions, then set ``_configured``),
+    the hooks :meth:`_alloc_regions`, :meth:`_noop_entry` and optionally
+    :meth:`_bind_output`, and its op methods, built from
+    :meth:`_pace_and_reserve`, :meth:`_submit` and :meth:`_completion`.
+    A single op is a batch of one.
     """
 
-    #: Device kind: names the client's spans and its trace track.
-    KIND: str
     #: Bytes per submission-ring entry.
     ENTRY_BYTES: int
     #: Collector poll period while the CQ head entry is unwritten.
@@ -127,8 +124,6 @@ class PooledQueueClient:
     #: Counter names (``repro.obs.names``).
     METRIC_FAILOVERS: str
     METRIC_RESUBMITTED: str
-    METRIC_FENCE_KICKS: str
-    METRIC_HEDGES: str
     METRIC_OP_TIMEOUTS: str
 
     def __init__(self, sim, memsys, handle, pod, owner_host: str,
@@ -156,7 +151,8 @@ class PooledQueueClient:
         # work — the cost of hedging a gray (slow-but-alive) owner is one
         # extra channel message.
         self.hedge_deadline_ns = hedge_deadline_ns
-        self._track = f"{memsys.host_id}/{self.KIND}"
+        #: The pool assignment this client serves (set by the pool).
+        self.assignment = None
         # Rings and data buffers must be visible to the device's host,
         # so they always live in the pool, owned by both ends.
         self.mem = DriverMemory(
@@ -165,7 +161,7 @@ class PooledQueueClient:
             label=name,
         )
         self.generation = 0
-        self._alloc_regions("")
+        self._carve("")
         self._tail = 0
         self._cq_head = 0
         self._configured = False
@@ -176,8 +172,6 @@ class PooledQueueClient:
         self._cq_park: _CqPark | None = None
         self._watchdog_proc = None
         self._failing_over = None
-        self._kick_pending = False
-        self._kick_streak = 0
         # Doorbell frontier: written entries past a gap wait in
         # ``_sq_written`` until the gap fills.
         self._sq_written: set[int] = set()
@@ -186,11 +180,8 @@ class PooledQueueClient:
         self.ops_completed = 0
         self.failovers = 0
         self.resubmitted = 0
-        self.fence_kicks = 0
         self.op_timeouts = 0
-        self.hedges = 0
-        self._hedge_streak = 0
-        self._subscribe_fence_signals()
+        super().__init__()
 
     # -- device hooks --------------------------------------------------------
 
@@ -198,6 +189,12 @@ class PooledQueueClient:
         """Carve this generation's ring and buffer regions from ``mem``,
         labelled with ``suffix``; must set ``sq_base`` and ``cq_base``."""
         raise NotImplementedError
+
+    def _carve(self, suffix: str) -> None:
+        """Allocate this generation's regions and its CQ's geometry."""
+        self._alloc_regions(suffix)
+        self._cq = DescriptorRing(self.cq_base, self.n_entries,
+                                  entry_bytes=COMPLETION_BYTES)
 
     def _noop_entry(self):
         """A ring entry the device completes without side effects."""
@@ -256,7 +253,7 @@ class PooledQueueClient:
                         span=span, paced=paced)
         self._bind_output(op)
         self._order += 1
-        self._pending[index % _INDEX_SPACE] = op
+        self._pending[index % INDEX_SPACE] = op
         self.ops_submitted += 1
         return op
 
@@ -344,7 +341,7 @@ class PooledQueueClient:
         and return its pacer slot.  A collector parked on the journal it
         empties is woken where its loop would next have checked it.
         """
-        self._pending.pop(op.index % _INDEX_SPACE, None)
+        self._pending.pop(op.index % INDEX_SPACE, None)
         self._release_slot(op)
         if not self._pending:
             self._wake_collector()
@@ -414,11 +411,13 @@ class PooledQueueClient:
     def _rering(self):
         """Process: re-resolve the owner (fresh endpoint and token) and
         re-ring the doorbell at the frontier."""
-        try:
-            self.handle.refresh()
-            yield from self.handle.ring_doorbell(0, self._sq_ready)
-        except _TRANSPORT_ERRORS:
-            pass
+        self.handle.refresh()
+        yield from self._ring()
+
+    def _can_rering(self) -> bool:
+        # A failover rebuilds the queues itself, and an empty journal
+        # has nothing left to expose.
+        return self._failing_over is None and bool(self._pending)
 
     def _neutralize_abandoned(self, first: int, count: int, gen: int):
         """Process: unwedge the doorbell frontier after a failed batch.
@@ -463,8 +462,7 @@ class PooledQueueClient:
         op = self._pending.pop(entry.index, None)
         if op is not None and not op.waiter.triggered:
             self.ops_completed += 1
-            self._kick_streak = 0
-            self._hedge_streak = 0
+            self._progressed()
             self._release_slot(op)
             if self.pacer is not None:
                 # Devices piggyback ring occupancy in the spare ``value``
@@ -477,8 +475,7 @@ class PooledQueueClient:
     def _cq_slot(self) -> tuple[int, int]:
         """The CQ head entry's address and the seq tag it will carry."""
         head = self._cq_head
-        return (self.cq_base + (head % self.n_entries) * COMPLETION_BYTES,
-                seq_for_pass(head // self.n_entries))
+        return self._cq.entry_addr(head), self._cq.seq_of(head)
 
     def _reap_cq(self, gen: int):
         """Process: claim the CQ head entry if the device has written it;
@@ -613,26 +610,9 @@ class PooledQueueClient:
             if age <= self.hedge_deadline_ns:
                 continue
             if age <= self.op_timeout_ns:
-                if self._hedge_streak >= HEDGE_STREAK_LIMIT:
-                    continue  # hedges aren't landing; wait for timeout
-                if (self.budget is not None
-                        and not self.budget.try_spend_hedge(1.0)):
-                    continue  # budget low: hedges stand down first
-                self._hedge_streak += 1
-                self.hedges += 1
-                _obs.METRICS.counter(self.METRIC_HEDGES).inc()
                 # Bill the hedge's transit to the stalled op's trace so
                 # the attributor surfaces it under the hedge phase.
-                hspan = _obs.TRACER.begin(
-                    f"{self.KIND}.hedge", self.sim.now,
-                    track=self._track, cat="io",
-                    parent=stalled.span,
-                    args={"age_ns": age},
-                )
-                try:
-                    yield from self._rering()
-                finally:
-                    _obs.TRACER.end(hspan, self.sim.now)
+                yield from self._hedge(stalled.span, age_ns=age)
                 continue
             self.op_timeouts += 1
             _obs.METRICS.counter(self.METRIC_OP_TIMEOUTS).inc()
@@ -689,13 +669,12 @@ class PooledQueueClient:
             else:
                 self.handle.refresh()
             self._subscribe_fence_signals()
-            self._alloc_regions(f".g{gen}")
+            self._carve(f".g{gen}")
             self._tail = 0
             self._cq_head = 0
             self._sq_written = set()
             self._sq_ready = 0
-            self._kick_streak = 0
-            self._hedge_streak = 0
+            self._progressed()
             yield from self._setup_with_retry()
             ops = sorted(self._pending.values(), key=lambda op: op.order)
             self._pending = {}
@@ -705,7 +684,7 @@ class PooledQueueClient:
                 op.index = index
                 op.submitted_ns = self.sim.now
                 self._bind_output(op)
-                self._pending[index % _INDEX_SPACE] = op
+                self._pending[index % INDEX_SPACE] = op
                 yield from self._post((op,), parent=op.span or span)
             self.resubmitted += len(ops)
             if ops:
@@ -756,44 +735,3 @@ class PooledQueueClient:
         raise RuntimeError(
             f"{self.name}: could not re-establish device after failover"
         ) from last
-
-    # -- fence nacks ---------------------------------------------------------
-
-    def _subscribe_fence_signals(self) -> None:
-        endpoint = getattr(self.handle, "endpoint", None)
-        if endpoint is None:
-            return
-        FenceSignals.attach(endpoint).subscribe(
-            self.handle.device_id, self._on_fence_nack
-        )
-
-    def _on_fence_nack(self, msg) -> None:
-        """A posted doorbell was fenced: the token rotated under us."""
-        if (msg.device_id != self.handle.device_id
-                or self._kick_pending
-                or self._failing_over is not None
-                or not self._pending
-                or self._kick_streak >= FENCE_KICK_STREAK_LIMIT):
-            return
-        self._kick_pending = True
-        self.sim.spawn(self._fence_kick(), name=f"{self.name}.kick")
-
-    def _fence_kick(self, delay_ns: float = 1_000_000.0):
-        """Process: re-ring the doorbell with a refreshed token.
-
-        Covers the transient case where the *same* owner re-acquired the
-        lease under a new token: device state is intact, only the
-        doorbell was dropped.  Bounded by ``_kick_streak`` (reset on any
-        completion) so a genuinely-moved device falls through to the
-        watchdog instead of kicking forever.
-        """
-        try:
-            yield self.sim.timeout(delay_ns)
-            if self._failing_over is not None or not self._pending:
-                return
-            self._kick_streak += 1
-            self.fence_kicks += 1
-            _obs.METRICS.counter(self.METRIC_FENCE_KICKS).inc()
-            yield from self._rering()
-        finally:
-            self._kick_pending = False

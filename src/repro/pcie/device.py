@@ -10,7 +10,9 @@ The contract every concrete device (NIC, SSD, accelerator) inherits:
   §4.1's host-to-host communication mechanism).
 * **DMA** — the device moves bytes via the attached host's
   :class:`~repro.cxl.memsys.HostMemorySystem`, so targets in local DRAM
-  and in the CXL pool both work, each with its own timing.
+  and in the CXL pool both work, each with its own timing.  A DMA that
+  meets a down CXL link is replayed, like a PCIe replay, until the link
+  comes back or the replay budget runs out.
 * **Health** — devices can be failed (fault injection) and reset; MMIO
   against a failed device raises :class:`DeviceFailedError`, which is how
   agents detect failures.
@@ -25,13 +27,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.cxl.link import LinkDownError
 from repro.cxl.memsys import HostMemorySystem
 from repro.pcie.rings import (
     COMPLETION_BYTES,
     DESCRIPTOR_BYTES,
+    INDEX_SPACE,
     CompletionEntry,
     DescriptorRing,
-    seq_for_pass,
 )
 from repro.sim import Interrupt, Resource, Simulator, Store
 
@@ -80,6 +83,12 @@ class PcieDevice:
     STATUS_OK = 1
     STATUS_FAILED = 0
 
+    #: A DMA that meets a down link is replayed at this cadence, up to
+    #: this many times, instead of failing: rings and buffers may live
+    #: in pool memory behind a flapping CXL link.
+    LINK_RETRY_NS = 100_000.0
+    LINK_RETRY_LIMIT = 200
+
     def __init__(self, sim: Simulator, name: str, device_id: int):
         self.sim = sim
         self.name = name
@@ -92,6 +101,7 @@ class PcieDevice:
         self.mmio_reads = 0
         self.mmio_writes = 0
         self.dma_bytes = 0
+        self.dma_link_retries = 0
         self.failures = 0
         self.repairs = 0
         self.failed_at_ns: Optional[float] = None
@@ -170,16 +180,29 @@ class PcieDevice:
 
     def dma_read(self, addr: int, size: int):
         """Process: DMA-read ``size`` bytes from host/pool memory."""
-        self._check_alive()
-        data = yield from self.host.dma_read(addr, size)
+        data = yield from self._dma(HostMemorySystem.dma_read, addr, size)
         self.dma_bytes += size
         return data
 
     def dma_write(self, addr: int, data: bytes):
         """Process: DMA-write ``data`` to host/pool memory."""
-        self._check_alive()
-        yield from self.host.dma_write(addr, data)
+        yield from self._dma(HostMemorySystem.dma_write, addr, data)
         self.dma_bytes += len(data)
+
+    def _dma(self, transfer, addr: int, arg):
+        """Process: run ``transfer(host, addr, arg)`` on a live device,
+        replayed across a down link (see ``LINK_RETRY_NS``)."""
+        attempts = 0
+        while True:
+            self._check_alive()
+            try:
+                return (yield from transfer(self.host, addr, arg))
+            except LinkDownError:
+                attempts += 1
+                if attempts > self.LINK_RETRY_LIMIT:
+                    raise
+                self.dma_link_retries += 1
+                yield self.sim.timeout(self.LINK_RETRY_NS)
 
     # -- subclass hooks -------------------------------------------------------------
 
@@ -220,8 +243,11 @@ class QueuePairDevice(PcieDevice):
     entry and runs it on one of ``n_units`` parallel units (flash
     channels, compute contexts); when the unit is released the device
     writes the entry's output, if it has one, then DMA-writes a 16 B
-    completion to the queue at ``REG_CQ_RING``.  A subclass gives its
-    entry size, :meth:`_run` and, optionally, :meth:`_write_output`.
+    completion to the queue at ``REG_CQ_RING``.  An entry whose device
+    fails while it runs is dropped and counted in ``dropped``, as the
+    NIC drops a frame: the borrower resubmits it on the device the
+    orchestrator fails over to.  A subclass gives its entry size,
+    :meth:`_run` and, optionally, :meth:`_write_output`.
     """
 
     REG_DB = 0x10
@@ -246,6 +272,7 @@ class QueuePairDevice(PcieDevice):
         self._cq_index = 0
         self._engine = None
         self.completed = 0
+        self.dropped = 0
         self._busy_ns = 0.0
         self._util_window_start = 0.0
 
@@ -297,32 +324,37 @@ class QueuePairDevice(PcieDevice):
             return
 
     def _execute(self, index: int):
-        ring = DescriptorRing(self.bar.regs[self.REG_RING], self.n_entries,
-                              entry_bytes=self.ENTRY_BYTES)
-        raw = yield from self.dma_read(ring.entry_addr(index),
-                                       self.ENTRY_BYTES)
-        t0 = self.sim.now
-        with self._units.request() as unit:
-            yield unit
-            status, length, output = yield from self._run(raw)
-        self._busy_ns += self.sim.now - t0
-        yield from self._write_output(index, output)
-        cq = DescriptorRing(self.bar.regs[self.REG_CQ_RING], self.n_entries,
-                            entry_bytes=COMPLETION_BYTES)
-        cq_index = self._cq_index
-        self._cq_index += 1
-        # Cooperative backpressure: piggyback the ring's occupancy
-        # (dispatched minus completed, per-mille of the ring) in the
-        # otherwise-unused ``value`` field.  Same 16 B wire format;
-        # clients that ignore value behave as before.
-        inflight = max(0, self._head - self.completed)
-        entry = CompletionEntry(
-            seq=seq_for_pass(cq_index // cq.n_entries),
-            status=status, index=index % (1 << 16), length=length,
-            value=min(1000, (1000 * inflight) // self.n_entries),
-        )
-        yield from self.dma_write(cq.entry_addr(cq_index), entry.encode())
-        self.completed += 1
+        try:
+            ring = DescriptorRing(self.bar.regs[self.REG_RING],
+                                  self.n_entries, entry_bytes=self.ENTRY_BYTES)
+            raw = yield from self.dma_read(ring.entry_addr(index),
+                                           self.ENTRY_BYTES)
+            t0 = self.sim.now
+            with self._units.request() as unit:
+                yield unit
+                status, length, output = yield from self._run(raw)
+            self._busy_ns += self.sim.now - t0
+            yield from self._write_output(index, output)
+            cq = DescriptorRing(self.bar.regs[self.REG_CQ_RING],
+                                self.n_entries, entry_bytes=COMPLETION_BYTES)
+            cq_index = self._cq_index
+            self._cq_index += 1
+            # Cooperative backpressure: piggyback the ring's occupancy
+            # (dispatched minus completed, per-mille of the ring) in the
+            # otherwise-unused ``value`` field.  Same 16 B wire format;
+            # clients that ignore value behave as before.
+            inflight = max(0, self._head - self.completed)
+            entry = CompletionEntry(
+                seq=cq.seq_of(cq_index),
+                status=status, index=index % INDEX_SPACE, length=length,
+                value=min(1000, (1000 * inflight) // self.n_entries),
+            )
+            yield from self.dma_write(cq.entry_addr(cq_index), entry.encode())
+            self.completed += 1
+        except DeviceFailedError:
+            # The device died mid-entry: drop it.  The borrower's
+            # failover resubmits it on the successor.
+            self.dropped += 1
 
     def _run(self, raw: bytes):
         """Process: execute one raw ring entry while holding a unit.

@@ -27,10 +27,10 @@ from repro.pcie.fabric import EthernetSwitch
 from repro.pcie.rings import (
     COMPLETION_BYTES,
     DESCRIPTOR_BYTES,
+    INDEX_SPACE,
     CompletionEntry,
     Descriptor,
     DescriptorRing,
-    seq_for_pass,
 )
 from repro.sim import Interrupt, Resource, Simulator, Store
 
@@ -105,17 +105,11 @@ class Nic(PcieDevice):
         self._tx_cq_index = 0
         self._rx_cq_index = 0
         self._engines: list = []
-        # PCIe-replay-style tolerance for CXL link flaps: a descriptor or
-        # completion DMA that hits a dead link is retried at this cadence
-        # instead of crashing the engine (rings may live in pool memory).
-        self.link_retry_ns = 100_000.0
-        self.link_retry_limit = 200
         # Telemetry.
         self.frames_sent = 0
         self.frames_received = 0
         self.frames_dropped_no_buffer = 0
         self.frames_dropped_fault = 0
-        self.dma_link_retries = 0
         self.bytes_sent = 0
         self.bytes_received = 0
         self._busy_ns = 0.0
@@ -161,22 +155,16 @@ class Nic(PcieDevice):
 
     # -- ring geometry (from BAR registers) ---------------------------------------
 
-    def _ring(self, reg: int) -> DescriptorRing:
+    def _ring(self, reg: int,
+              entry_bytes: int = DESCRIPTOR_BYTES) -> DescriptorRing:
+        """The descriptor ring or, with ``COMPLETION_BYTES``, the CQ
+        whose base address register ``reg`` holds."""
         base = self.bar.regs[reg]
         if base == 0:
             raise RuntimeError(
                 f"{self.name}: ring register {reg:#x} not configured"
             )
-        return DescriptorRing(base, self.spec.n_desc)
-
-    def _cq_ring(self, reg: int) -> DescriptorRing:
-        base = self.bar.regs[reg]
-        if base == 0:
-            raise RuntimeError(
-                f"{self.name}: CQ register {reg:#x} not configured"
-            )
-        return DescriptorRing(base, self.spec.n_desc,
-                              entry_bytes=COMPLETION_BYTES)
+        return DescriptorRing(base, self.spec.n_desc, entry_bytes)
 
     # -- TX engine -------------------------------------------------------------------
 
@@ -200,27 +188,12 @@ class Nic(PcieDevice):
         except Interrupt:
             return
 
-    def _dma_retry(self, op, *args):
-        """Process: DMA with bounded replay across short link outages."""
-        attempts = 0
-        while True:
-            try:
-                result = yield from op(*args)
-                return result
-            except LinkDownError:
-                attempts += 1
-                if attempts > self.link_retry_limit:
-                    raise
-                self.dma_link_retries += 1
-                yield self.sim.timeout(self.link_retry_ns)
-
     def _transmit_one(self, index: int, pipe_slot):
         try:
             ring = self._ring(self.REG_TX_RING)
             t0 = self.sim.now
-            raw_desc = yield from self._dma_retry(
-                self.dma_read, ring.entry_addr(index), DESCRIPTOR_BYTES
-            )
+            raw_desc = yield from self.dma_read(ring.entry_addr(index),
+                                                DESCRIPTOR_BYTES)
             desc = Descriptor.decode(raw_desc)
             if desc.length <= 0 or desc.length > self.spec.mtu:
                 # Garbage or oversize descriptor (e.g. a slot a faulted
@@ -232,9 +205,7 @@ class Nic(PcieDevice):
                     length=max(0, desc.length),
                 )
                 return
-            payload = yield from self._dma_retry(
-                self.dma_read, desc.addr, desc.length
-            )
+            payload = yield from self.dma_read(desc.addr, desc.length)
             yield self.sim.timeout(self.spec.pipeline_ns)
             # Wire egress is the one serial stage: line rate.
             with self._wire.request() as wire:
@@ -300,9 +271,8 @@ class Nic(PcieDevice):
     def _receive_one(self, raw: bytes, index: int, pipe_slot):
         try:
             ring = self._ring(self.REG_RX_RING)
-            raw_desc = yield from self._dma_retry(
-                self.dma_read, ring.entry_addr(index), DESCRIPTOR_BYTES
-            )
+            raw_desc = yield from self.dma_read(ring.entry_addr(index),
+                                                DESCRIPTOR_BYTES)
             desc = Descriptor.decode(raw_desc)
             if len(raw) > desc.length:
                 # Frame larger than the posted buffer: truncate-and-error.
@@ -312,7 +282,7 @@ class Nic(PcieDevice):
                 )
                 return
             yield self.sim.timeout(self.spec.pipeline_ns)
-            yield from self._dma_retry(self.dma_write, desc.addr, raw)
+            yield from self.dma_write(desc.addr, raw)
             self.frames_received += 1
             self.bytes_received += len(raw)
             yield from self._complete(
@@ -328,7 +298,7 @@ class Nic(PcieDevice):
 
     def _complete(self, cq_reg: int, counter_attr: str, desc_index: int,
                   status: int, length: int):
-        cq = self._cq_ring(cq_reg)
+        cq = self._ring(cq_reg, COMPLETION_BYTES)
         # Reserve the CQ slot synchronously: concurrent pipelined
         # completions must never write the same entry.
         cq_index = getattr(self, counter_attr)
@@ -340,17 +310,16 @@ class Nic(PcieDevice):
                 else self._rx_head)
         inflight = max(0, head - cq_index)
         entry = CompletionEntry(
-            seq=seq_for_pass(cq_index // cq.n_entries),
+            seq=cq.seq_of(cq_index),
             status=status,
-            index=desc_index % (1 << 16),
+            index=desc_index % INDEX_SPACE,
             length=length,
             value=min(1000, (1000 * inflight) // self.spec.n_desc),
         )
-        # The completion write is retried hard: a lost entry would leave a
-        # seq hole that wedges the driver's CQ poller forever.
-        yield from self._dma_retry(
-            self.dma_write, cq.entry_addr(cq_index), entry.encode()
-        )
+        # The completion write is replayed across link flaps (dma_write):
+        # a lost entry would leave a seq hole that wedges the driver's CQ
+        # poller forever.
+        yield from self.dma_write(cq.entry_addr(cq_index), entry.encode())
         hint = (self.tx_cq_hint if cq_reg == self.REG_TX_CQ
                 else self.rx_cq_hint)
         hint.put(cq_index)

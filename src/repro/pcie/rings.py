@@ -25,6 +25,8 @@ from dataclasses import dataclass
 _DESC = struct.Struct("<QII")
 #: seq (u8), status (u8), index (u16), length (u32), value (u64)
 _COMP = struct.Struct("<BBHIQ")
+#: A completion's ``index`` is the submission index modulo this (u16).
+INDEX_SPACE = 1 << 16
 
 DESCRIPTOR_BYTES = _DESC.size    # 16
 COMPLETION_BYTES = _COMP.size    # 16

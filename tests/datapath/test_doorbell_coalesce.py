@@ -15,11 +15,18 @@ import pytest
 
 from repro.channel.rpc import RpcEndpoint
 from repro.cxl.pod import CxlPod, PodConfig
-from repro.datapath.proxy import DeviceServer, RemoteDeviceHandle
+from repro.datapath.netstack import UdpStack
+from repro.datapath.placement import BufferPlacement, DriverMemory
+from repro.datapath.proxy import (
+    DeviceServer,
+    LocalDeviceHandle,
+    RemoteDeviceHandle,
+)
 from repro.datapath.vaccel import RemoteAcceleratorClient
 from repro.datapath.vssd import RemoteSsdClient
 from repro.pcie.accelerator import KERNEL_COMPRESS, Accelerator
-from repro.pcie.nic import TX_QUEUE, Nic
+from repro.pcie.fabric import EthernetSwitch
+from repro.pcie.nic import TX_QUEUE, Nic, NicSpec
 from repro.pcie.ssd import Ssd
 from repro.sim import Simulator
 
@@ -148,19 +155,24 @@ def test_carrier_failure_keeps_merged_doorbell_pending(setup):
     teardown(sim, eps)
 
 
-@pytest.mark.parametrize("kind", ["write_burst", "run_jobs"])
+@pytest.mark.parametrize("kind", ["write_burst", "run_jobs", "sendto_burst"])
 def test_coalesced_doorbell_replays_across_lease_fence(kind):
     """A burst's single doorbell dropped by a token rotation is nacked
     out-of-band and replayed with a refreshed token; every journaled
-    entry of the burst still completes.  Both pooled clients share the
-    fence kick: the SSD's ``write_burst`` and the accelerator's
-    ``run_jobs``."""
+    entry of the burst still completes.  Every pooled driver shares the
+    fence kick: the SSD's ``write_burst``, the accelerator's
+    ``run_jobs`` and the UDP stack's ``sendto_burst``."""
     sim = Simulator(seed=11)
     pod = CxlPod(sim, PodConfig(n_hosts=3, n_mhds=2, mhd_capacity=1 << 27))
+    switch = EthernetSwitch(sim)
     if kind == "write_burst":
         device = Ssd(sim, "ssd0", device_id=10)
-    else:
+    elif kind == "run_jobs":
         device = Accelerator(sim, "accel0", device_id=10)
+    else:
+        device = Nic(sim, "nic0", device_id=10, mac=0xA0,
+                     spec=NicSpec(n_desc=64))
+        device.plug_into(switch)
     device.attach(pod.host("h0"))
     device.start()
     owner_ep, borrower_ep = RpcEndpoint.pair(pod, "h0", "h2")
@@ -174,18 +186,54 @@ def test_coalesced_doorbell_replays_across_lease_fence(kind):
     handle.resolver = lambda: (handle.endpoint,
                                server.lease_snapshot()[10][0])
     payloads = [bytes([i]) * 512 for i in range(8)]
+    received = []
     if kind == "write_burst":
         client = RemoteSsdClient(sim, pod.host("h2"), handle, pod, "h0")
+        bring_up = client.setup()
         burst = client.write_burst(
             [(i * 64, data) for i, data in enumerate(payloads)])
-    else:
+    elif kind == "run_jobs":
         client = RemoteAcceleratorClient(sim, pod.host("h2"), handle, pod,
                                          "h0")
+        bring_up = client.setup()
         burst = client.run_jobs(
             [(KERNEL_COMPRESS, data) for data in payloads])
+    else:
+        # A remote stack on NIC 10 sends to a peer on h1's own NIC.
+        peer_nic = Nic(sim, "nic1", device_id=11, mac=0xB0,
+                       spec=NicSpec(n_desc=64))
+        peer_nic.attach(pod.host("h1"))
+        peer_nic.plug_into(switch)
+        peer_nic.start()
+        peer = UdpStack(
+            sim, pod.host("h1"), LocalDeviceHandle(peer_nic),
+            DriverMemory(pod.host("h1"), pod, BufferPlacement.LOCAL,
+                         label="peer"),
+            mac=0xB0, n_desc=64, name="peer",
+            tx_hint=peer_nic.tx_cq_hint, rx_hint=peer_nic.rx_cq_hint)
+        client = UdpStack(
+            sim, pod.host("h2"), handle,
+            DriverMemory(pod.host("h2"), pod, BufferPlacement.CXL,
+                         owners=["h0", "h2"], label="remote"),
+            mac=0xA0, n_desc=64, name="remote",
+            tx_hint=device.tx_cq_hint, rx_hint=device.rx_cq_hint)
+
+        def receive():
+            sock = peer.bind(7)
+            for _ in payloads:
+                data, _mac, _port = yield from sock.recv()
+                received.append(data)
+
+        def bring_up():
+            yield from peer.start()
+            yield from client.start()
+            sim.spawn(receive())
+
+        bring_up = bring_up()
+        burst = client.sendto_burst(payloads, 0xB0, 7)
 
     def proc():
-        yield from client.setup()
+        yield from bring_up
         # Rotate the token the moment the burst is posted: its one
         # coalesced doorbell arrives with the stale epoch and is fenced.
         server.set_lease(10, token=2, expires_at_ns=1e15)
@@ -196,11 +244,20 @@ def test_coalesced_doorbell_replays_across_lease_fence(kind):
     sim.run(until=p)
     if kind == "write_burst":
         assert p.value == [0] * 8
-    else:
+    elif kind == "run_jobs":
         assert [zlib.decompress(r) for r in p.value] == payloads
-    assert client.ops_completed == 8
-    assert client.fence_kicks >= 1          # replayed doorbell
-    assert server.fenced_ops >= 1           # the stale one was refused
+    if kind == "sendto_burst":
+        sim.run(until=sim.now + 5_000_000.0)
+        assert received == payloads             # all 8, in order
+        assert client.fence_kicks == 1
+        assert server.fenced_ops == 2
+        client.stop()
+        peer.stop()
+        peer_nic.stop()
+    else:
+        assert client.ops_completed == 8
+        assert client.fence_kicks >= 1      # replayed doorbell
+        assert server.fenced_ops >= 1       # the stale one was refused
     assert handle.token == 2                # refreshed epoch stuck
     device.stop()
     for ep in (owner_ep, borrower_ep):

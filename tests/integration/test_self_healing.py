@@ -1,6 +1,8 @@
 """Pool-level self-healing: agent and orchestrator crash/restart cycles
 with live assignments, driven through the public fault-injection verbs."""
 
+import pytest
+
 from repro.core import PciePool
 from repro.faults import FaultInjector
 from repro.obs import runtime as _obs
@@ -133,5 +135,44 @@ def test_control_plane_telemetry_export():
                  "rpc.gave_up", "rpc.late_replies_dropped",
                  "rpc.link_errors"):
         assert _obs.METRICS.value(name) == totals[name]
+    pool.stop()
+    sim.run()
+
+
+@pytest.mark.parametrize("kind", ["ssd", "accelerator"])
+def test_restarted_agent_readopts_borrowed_queue_pair(kind):
+    """A restarted agent re-adopts every assignment its host borrows,
+    a vSSD or vaccel as well as a vNIC, so a later orchestrator restart
+    rebuilds the whole table from the agents' replay."""
+    sim = Simulator(seed=1)
+    pool = PciePool(sim, n_hosts=4, ctl_poll_ns=200_000.0,
+                    dev_poll_ns=50_000.0)
+    if kind == "ssd":
+        pool.add_ssd("h0")
+    else:
+        pool.add_accelerator("h0")
+    pool.add_nic("h1")
+    pool.start()
+    if kind == "ssd":
+        pool.open_ssd("h2")
+    else:
+        pool.open_accelerator("h2")
+    pool.open_nic("h2")
+    sim.run(until=sim.now + 5_000_000.0)
+    before = pool.orchestrator.assignment_table()
+    borrowed = {vid: (device_id, k)
+                for vid, (_host, k, device_id) in before.items()}
+    assert sorted(k for _d, k in borrowed.values()) == sorted([kind, "nic"])
+    injector = FaultInjector(pool)
+    injector.crash_agent("h2")
+    injector.restart_agent("h2")
+    sim.run(until=sim.now + 5_000_000.0)
+    injector.crash_orchestrator()
+    sim.run(until=sim.spawn(injector.restart_orchestrator()))
+    sim.run(until=sim.now + 200_000_000.0)
+    adopted = pool.agents["h2"].adopted_assignments
+    assert {vid: (device_id, k) for vid, (device_id, k, _gen)
+            in adopted.items()} == borrowed
+    assert pool.orchestrator.assignment_table() == before
     pool.stop()
     sim.run()
